@@ -80,7 +80,7 @@ func benchUTCP(msgs, msgBytes int, loss float64, seed int64) (utcpBenchResult, e
 	if err != nil {
 		return utcpBenchResult{}, err
 	}
-	defer cli.Close()
+	defer cli.Release()
 	ep, err := ln.Accept()
 	if err != nil {
 		return utcpBenchResult{}, err

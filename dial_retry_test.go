@@ -90,12 +90,10 @@ func TestDialRetryEventualSuccess(t *testing.T) {
 	c.Close()
 }
 
-// TestDialRetryHandshakeFailure points a retrying uTLS dial at a plain
-// TCP acceptor that answers the hello with garbage: with Retry enabled
-// the dial must wait for the handshake, classify its failure as
-// transient, and give up with the typed error after the configured
-// attempts.
-func TestDialRetryHandshakeFailure(t *testing.T) {
+// garbageTLSPeer starts a TCP acceptor that answers every uTLS hello
+// with garbage and hangs up.
+func garbageTLSPeer(t *testing.T) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -111,22 +109,44 @@ func TestDialRetryHandshakeFailure(t *testing.T) {
 			c.Close()
 		}
 	}()
-	_, err = DialConfig{
-		Timeout: 2 * time.Second,
-		Retry: RetryConfig{
-			Attempts:    2,
-			BaseBackoff: time.Millisecond,
-		},
-	}.Dial(ProtoUTLSTCP, "tcp", l.Addr().String())
-	if err == nil {
-		t.Fatalf("handshake against a garbage peer succeeded")
-	}
-	var re *DialRetryError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %T (%v), want *DialRetryError", err, err)
-	}
-	if re.Attempts != 2 {
-		t.Fatalf("give-up after %d attempts, want 2", re.Attempts)
+	return l.Addr().String()
+}
+
+// TestDialRetryHandshakeFailure points a retrying uTLS dial at a peer
+// that never completes the TLS handshake — a TCP acceptor answering the
+// hello with garbage, or a uCOBS-over-uTCP listener that ignores it: with
+// Retry enabled the dial must wait for the handshake, classify its
+// failure (or its timeout) as transient, and give up with the typed
+// error after the configured attempts.
+func TestDialRetryHandshakeFailure(t *testing.T) {
+	for _, c := range []struct {
+		proto   Protocol
+		peer    func(*testing.T) string
+		timeout time.Duration
+	}{
+		{ProtoUTLSTCP, garbageTLSPeer, 2 * time.Second},
+		{ProtoUTLSuTCP, func(t *testing.T) string { return silentTLSPeer(t, "udp") }, 300 * time.Millisecond},
+	} {
+		network := networkOf(c.proto)
+		t.Run(network, func(t *testing.T) {
+			_, err := DialConfig{
+				Timeout: c.timeout,
+				Retry: RetryConfig{
+					Attempts:    2,
+					BaseBackoff: time.Millisecond,
+				},
+			}.Dial(c.proto, network, c.peer(t))
+			if err == nil {
+				t.Fatalf("handshake against a peer that never speaks TLS succeeded")
+			}
+			var re *DialRetryError
+			if !errors.As(err, &re) {
+				t.Fatalf("error %T (%v), want *DialRetryError", err, err)
+			}
+			if re.Attempts != 2 {
+				t.Fatalf("give-up after %d attempts, want 2", re.Attempts)
+			}
+		})
 	}
 }
 

@@ -243,8 +243,15 @@ func New(r rt.Runtime, cfg Config, out func(*Segment)) *Conn {
 func (c *Conn) SetOutput(out func(*Segment)) { c.out = out }
 
 // OnReadable registers a callback invoked whenever new data becomes
-// available to Read/ReadUnordered.
-func (c *Conn) OnReadable(fn func()) { c.onReadable = fn }
+// available to Read/ReadUnordered. If data (or the peer's FIN) is
+// already waiting, the callback is scheduled at once, so a framing layer
+// attached after traffic started does not stall.
+func (c *Conn) OnReadable(fn func()) {
+	c.onReadable = fn
+	if c.inQBytes > 0 || c.uQ.Len() > 0 || c.peerFinReceived {
+		c.notifyReadable()
+	}
+}
 
 // OnWritable registers a callback invoked when send-buffer space becomes
 // available after Write/WriteMsg returned short or ErrWouldBlock.

@@ -323,7 +323,7 @@ func TestSocketDeathMidRetransmit(t *testing.T) {
 
 	// Release the sockets; every reader and loop goroutine must return.
 	wire.SetFaultHooks(nil)
-	cli.Close()
+	cli.Release()
 	ep.Detach()
 	ln.Close()
 	waitGoroutines(t, goroBefore)

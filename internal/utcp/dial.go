@@ -2,6 +2,7 @@ package utcp
 
 import (
 	"net"
+	"time"
 
 	"minion/internal/rt"
 	"minion/internal/tcp"
@@ -14,23 +15,34 @@ import (
 // callers need not wait for Established before layering framing on top.
 type Client struct {
 	uc *wire.UDPConn
-	b  *Binding
+	lifecycle
 }
 
 // Dial opens a connected UDP socket to addr and starts a uTCP client
-// handshake over it.
+// handshake over it. ucfg.DialTimeout, when positive, bounds the SYN
+// exchange too: a peer that never answers aborts the connection with
+// wire.ErrTimeout as its terminal cause instead of leaving it to retry
+// until the ARQ gives up.
 func Dial(network, addr string, cfg tcp.Config, ucfg wire.UDPConfig) (*Client, error) {
+	start := time.Now()
 	uc, err := wire.DialUDPConfig(network, addr, ucfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{uc: uc}
+	c := &Client{uc: uc, lifecycle: lifecycle{loop: uc.Loop(), release: uc.Close}}
 	if !uc.Do(func() {
 		c.b = Bind(uc.Loop(), uc.Shim(), cfg)
 		c.b.Conn().Connect()
 	}) {
 		uc.Close()
 		return nil, net.ErrClosed
+	}
+	if ucfg.DialTimeout > 0 {
+		c.loop.Schedule(ucfg.DialTimeout-time.Since(start), func() {
+			if c.b.Conn().State() == tcp.StateSynSent {
+				c.Abort(wire.ErrTimeout)
+			}
+		})
 	}
 	return c, nil
 }
@@ -42,7 +54,7 @@ func (c *Client) Conn() *tcp.Conn { return c.b.Conn() }
 func (c *Client) Binding() *Binding { return c.b }
 
 // Loop returns the event loop hosting the connection.
-func (c *Client) Loop() *rt.Loop { return c.uc.Loop() }
+func (c *Client) Loop() *rt.Loop { return c.loop }
 
 // Do runs fn on the connection's event loop (false once closed).
 func (c *Client) Do(fn func()) bool { return c.uc.Do(fn) }
@@ -53,7 +65,7 @@ func (c *Client) Post(fn func()) bool { return c.uc.Post(fn) }
 // LocalAddr returns the socket's local address.
 func (c *Client) LocalAddr() net.Addr { return c.uc.LocalAddr() }
 
-// Close tears the socket and loop down immediately. Graceful teardown is
-// the caller's job: Conn().Close() on the loop, then Close here once
-// OnClose fires (or a linger bound expires).
-func (c *Client) Close() { c.uc.Close() }
+// Release tears the socket and loop down immediately, whatever state the
+// connection is in — the counterpart of Close for callers that drive the
+// connection's own teardown through Conn().
+func (c *Client) Release() { c.uc.Close() }

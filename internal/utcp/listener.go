@@ -50,8 +50,8 @@ type Listener struct {
 type Endpoint struct {
 	l    *Listener
 	peer netip.AddrPort
-	b    *Binding
 	shim *udp.Conn
+	lifecycle
 }
 
 // Listen opens the shared socket and starts demuxing.
@@ -145,7 +145,7 @@ func (l *Listener) newEndpoint(from netip.AddrPort) *Endpoint {
 		l.pc.SendTo(b, from)
 	})
 	ep := &Endpoint{l: l, peer: from, shim: shim}
-	ep.b = Bind(l.pc.Loop(), shim, l.cfg.Config)
+	ep.lifecycle = lifecycle{b: Bind(l.pc.Loop(), shim, l.cfg.Config), loop: l.pc.Loop(), release: ep.Detach}
 	ep.b.Conn().Listen()
 	return ep
 }
@@ -160,7 +160,7 @@ func (e *Endpoint) Binding() *Binding { return e.b }
 func (e *Endpoint) RemoteAddr() netip.AddrPort { return e.peer }
 
 // Loop returns the event loop the endpoint runs on.
-func (e *Endpoint) Loop() *rt.Loop { return e.l.pc.Loop() }
+func (e *Endpoint) Loop() *rt.Loop { return e.loop }
 
 // Do runs fn on the endpoint's loop (false once the listener closed).
 func (e *Endpoint) Do(fn func()) bool { return e.l.pc.Do(fn) }
@@ -170,7 +170,8 @@ func (e *Endpoint) Post(fn func()) bool { return e.l.pc.Post(fn) }
 
 // Detach removes the endpoint from the demux table — call once its
 // connection has fully closed, so a reconnecting peer (same source
-// address) gets a fresh endpoint instead of RST-shaped confusion.
+// address) gets a fresh endpoint instead of RST-shaped confusion. Close
+// and OnError detach automatically at the terminal state.
 func (e *Endpoint) Detach() {
 	e.l.pc.Post(func() {
 		if e.l.eps[e.peer] == e {

@@ -69,7 +69,7 @@ func dialLoopback(t *testing.T, cliCfg, srvCfg tcp.Config) (*Client, *Endpoint, 
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	t.Cleanup(cli.Close)
+	t.Cleanup(cli.Release)
 	ep, err := ln.Accept()
 	if err != nil {
 		t.Fatalf("Accept: %v", err)

@@ -236,7 +236,9 @@ func (c *Conn) Ready() bool { return c.handshakeDone }
 // errors.Is(err, ErrHandshake) holds alongside the tlshake cause.
 func (c *Conn) HandshakeErr() error { return c.hsErr }
 
-// OnReady registers a callback invoked when the handshake completes.
+// OnReady registers a callback invoked when the handshake completes,
+// after the sends queued behind it have been flushed to the transport —
+// so a sender the pending queue turned away can resume in order from it.
 func (c *Conn) OnReady(fn func()) {
 	c.onReady = fn
 	if c.handshakeDone && fn != nil {
@@ -410,9 +412,6 @@ func (c *Conn) finishHandshake() {
 		}
 	}
 
-	if c.onReady != nil {
-		c.onReady()
-	}
 	// Flush writes queued during the handshake with the MSS-derived cap
 	// bypassed: these messages were admitted before the cap existed, and
 	// an oversized record straddling segments beats dropping it (see
@@ -430,6 +429,9 @@ func (c *Conn) finishHandshake() {
 		}
 	}
 	c.recCap = savedCap
+	if c.onReady != nil {
+		c.onReady()
+	}
 }
 
 // failHandshake latches a terminal handshake error and tears the stream

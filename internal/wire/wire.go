@@ -326,6 +326,10 @@ func (c *Conn) Do(fn func()) bool { return c.loop.Do(fn) }
 // the loop has shut down (fn will never run).
 func (c *Conn) Post(fn func()) bool { return c.lane.Post(fn) }
 
+// Stream returns the connection as the byte stream framing layers ride —
+// the connection itself, which implements tcp.Stream.
+func (c *Conn) Stream() tcp.Stream { return c }
+
 // LocalAddr returns the socket's local address.
 func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 

@@ -143,19 +143,83 @@ func TestGroupShutdownDrains512Mixed(t *testing.T) {
 	g.Close()
 }
 
-// TestDialTimeoutCoversTLSHandshake: a server that accepts TCP but never
-// answers the uTLS hello must not hang the dialer — DialConfig.Timeout
-// covers the handshake, and datagrams queued behind it report the typed
-// ErrTimeout.
+// TestDialTimeoutCoversTLSHandshake: a peer that completes the transport
+// handshake but never answers the uTLS hello must not hang the dialer —
+// DialConfig.Timeout covers the handshake on kernel TCP and on uTCP
+// alike, and datagrams queued behind it report the typed ErrTimeout.
 func TestDialTimeoutCoversTLSHandshake(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
+	}
+	for _, proto := range []Protocol{ProtoUTLSTCP, ProtoUTLSuTCP} {
+		network := networkOf(proto)
+		t.Run(network, func(t *testing.T) {
+			addr := silentTLSPeer(t, network)
+			c, err := DialConfig{
+				TCPConfig: TCPConfig{NoDelay: true, SendBufBytes: 16 * 1024},
+				Timeout:   400 * time.Millisecond,
+			}.Dial(proto, network, addr)
+			if err != nil {
+				t.Fatalf("Dial (the transport handshake should succeed): %v", err)
+			}
+			defer c.Close()
+
+			// Fill the pre-handshake pending budget so later datagrams queue
+			// in the retry queue — the ones whose OnResult sees the abort
+			// cause.
+			results := make(chan error, 64)
+			payload := make([]byte, 4096)
+			accepted := 0
+			for i := 0; i < 64; i++ {
+				err := c.TrySend(payload, Options{OnResult: func(e error) { results <- e }})
+				if errors.Is(err, ErrWouldBlock) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("TrySend: %v", err)
+				}
+				accepted++
+			}
+			if accepted == 0 {
+				t.Fatal("no TrySend accepted before the handshake")
+			}
+			deadline := time.After(10 * time.Second)
+			sawTimeout := false
+			for i := 0; i < accepted; i++ {
+				select {
+				case e := <-results:
+					if errors.Is(e, ErrTimeout) {
+						sawTimeout = true
+					}
+				case <-deadline:
+					t.Fatalf("only %d/%d OnResult callbacks after handshake timeout", i, accepted)
+				}
+			}
+			if !sawTimeout {
+				t.Error("no queued datagram reported the typed ErrTimeout after the handshake deadline")
+			}
+		})
+	}
+}
+
+// silentTLSPeer starts a peer on network that completes the transport
+// handshake, then reads nothing and answers nothing: a raw TCP acceptor
+// holding its connections open, or a uCOBS-over-uTCP listener.
+func silentTLSPeer(t *testing.T, network string) string {
+	t.Helper()
+	if network == "udp" {
+		ln, err := Listen(ProtoUCOBSuTCP, "udp", "127.0.0.1:0", TCPConfig{})
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		return ln.Addr().String()
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("net.Listen: %v", err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -165,49 +229,7 @@ func TestDialTimeoutCoversTLSHandshake(t *testing.T) {
 			defer c.Close() // hold open, read nothing, answer nothing
 		}
 	}()
-
-	c, err := DialConfig{
-		TCPConfig: TCPConfig{NoDelay: true, SendBufBytes: 16 * 1024},
-		Timeout:   400 * time.Millisecond,
-	}.Dial(ProtoUTLSTCP, "tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial (TCP connect should succeed): %v", err)
-	}
-	defer c.Close()
-
-	// Fill the pre-handshake pending budget so later datagrams queue in
-	// the retry queue — the ones whose OnResult sees the abort cause.
-	results := make(chan error, 64)
-	payload := make([]byte, 4096)
-	accepted := 0
-	for i := 0; i < 64; i++ {
-		err := c.TrySend(payload, Options{OnResult: func(e error) { results <- e }})
-		if errors.Is(err, ErrWouldBlock) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("TrySend: %v", err)
-		}
-		accepted++
-	}
-	if accepted == 0 {
-		t.Fatal("no TrySend accepted before the handshake")
-	}
-	deadline := time.After(10 * time.Second)
-	sawTimeout := false
-	for i := 0; i < accepted; i++ {
-		select {
-		case e := <-results:
-			if errors.Is(e, ErrTimeout) {
-				sawTimeout = true
-			}
-		case <-deadline:
-			t.Fatalf("only %d/%d OnResult callbacks after handshake timeout", i, accepted)
-		}
-	}
-	if !sawTimeout {
-		t.Error("no queued datagram reported the typed ErrTimeout after the handshake deadline")
-	}
+	return ln.Addr().String()
 }
 
 // TestDrainSendsCloseNotifyToStockPeer: a graceful group shutdown must

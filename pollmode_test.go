@@ -1,7 +1,6 @@
 package minion
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -134,101 +133,6 @@ func TestLoopbackPollLoops512(t *testing.T) {
 			t.Errorf("goroutines at full load: %d (baseline %d + %d test drivers): per-connection goroutines crept back into poll mode",
 				p, baseline, nConns)
 		}
-	}
-}
-
-// TestTrySendOnResultRealSocket: Options.OnResult must report, exactly
-// once per accepted datagram, nil for transmitted sends and an error for
-// datagrams dropped at teardown while queued behind backpressure.
-func TestTrySendOnResultRealSocket(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-socket test")
-	}
-	addr, stop := pollEchoServer(t, ProtoUCOBSTCP, 1, LoopAuto)
-	defer stop()
-	c, err := Dial(ProtoUCOBSTCP, "tcp", addr, TCPConfig{NoDelay: true})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-
-	results := make(chan error, 1)
-	if err := c.TrySend([]byte("fate-known"), Options{OnResult: func(e error) { results <- e }}); err != nil {
-		t.Fatalf("TrySend: %v", err)
-	}
-	select {
-	case e := <-results:
-		if e != nil {
-			t.Fatalf("OnResult for a deliverable datagram = %v, want nil", e)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("OnResult never fired for an accepted datagram")
-	}
-}
-
-// TestTrySendOnResultReportsDropAtClose: datagrams accepted by TrySend
-// but still queued when the connection closes must report their drop
-// instead of vanishing (the ROADMAP's completion-reporting item).
-func TestTrySendOnResultReportsDropAtClose(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-socket test")
-	}
-	// A server that never reads, so the client's send path backs up and
-	// TrySend datagrams queue in the async retry queue.
-	ln, err := Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0", TCPConfig{SendBufBytes: 16 * 1024})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- c // no OnMessage, no Recv: bytes pile up
-	}()
-	c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{SendBufBytes: 16 * 1024})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	srv := <-accepted
-	defer srv.Close()
-
-	var reported atomic.Int64
-	var dropped atomic.Int64
-	accepted2 := 0
-	payload := make([]byte, 4096)
-	// Fill until the TrySend budget itself rejects: everything accepted
-	// beyond the transport's appetite sits in the retry queue.
-	for {
-		err := c.TrySend(payload, Options{OnResult: func(e error) {
-			reported.Add(1)
-			if e != nil {
-				dropped.Add(1)
-			}
-		}})
-		if errors.Is(err, ErrWouldBlock) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("TrySend: %v", err)
-		}
-		accepted2++
-	}
-	if accepted2 == 0 {
-		t.Fatal("no TrySend was accepted before backpressure")
-	}
-	c.Close()
-	deadline := time.Now().Add(30 * time.Second)
-	for reported.Load() != int64(accepted2) {
-		if time.Now().After(deadline) {
-			t.Fatalf("OnResult fired %d/%d times after Close (silent loss)", reported.Load(), accepted2)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if dropped.Load() == 0 {
-		t.Error("peer never read yet no datagram reported a drop at Close")
 	}
 }
 

@@ -3,7 +3,6 @@ package minion
 import (
 	"encoding/binary"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -13,33 +12,11 @@ import (
 	"minion/internal/wire"
 )
 
-// utcpPair dials a ProtoUCOBSuTCP/ProtoUTLSuTCP loopback pair through the
-// public API and returns both ends with cleanup wired.
-func utcpPair(t *testing.T, proto Protocol, cfg TCPConfig) (client, server Conn) {
-	t.Helper()
-	ln, err := Listen(proto, "udp", "127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	cli, err := Dial(proto, "udp", ln.Addr().String(), cfg)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(cli.Close)
-	srv, err := ln.Accept()
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
-	t.Cleanup(srv.Close)
-	return cli, srv
-}
-
 // TestUTCPDialListenEcho runs the full public path: ProtoUCOBSuTCP over a
 // real loopback UDP socket, datagrams echoed back through TrySend (the
 // relay pattern), graceful close.
 func TestUTCPDialListenEcho(t *testing.T) {
-	cli, srv := utcpPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
+	cli, srv := socketPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
 
 	srv.OnMessage(func(msg []byte) {
 		if err := srv.TrySend(msg, Options{}); err != nil {
@@ -83,7 +60,7 @@ func TestUTCPPublicUnorderedUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loss-schedule test skipped in -short")
 	}
-	cli, srv := utcpPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
+	cli, srv := socketPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
 
 	const (
 		bulkN  = 200
@@ -170,7 +147,7 @@ func TestUTCPPublicUnorderedUnderLoss(t *testing.T) {
 // real socket: compat handshake with the explicit record-number extension
 // (the configuration that decrypts out of order), bidirectional exchange.
 func TestUTLSOverUTCPWire(t *testing.T) {
-	cli, srv := utcpPair(t, ProtoUTLSuTCP, TCPConfig{NoDelay: true, ExplicitRecNum: true})
+	cli, srv := socketPair(t, ProtoUTLSuTCP, TCPConfig{NoDelay: true, ExplicitRecNum: true})
 
 	srv.OnMessage(func(msg []byte) {
 		if err := srv.TrySend(msg, Options{}); err != nil {
@@ -194,98 +171,6 @@ func TestUTLSOverUTCPWire(t *testing.T) {
 	}
 	if !SupportsPriorities(cli) {
 		t.Error("explicit-recnum uTLS over uTCP should support priorities")
-	}
-}
-
-// TestUTCPResultAndErrorExactlyOnce drives the adapter's failure fan-out:
-// datagrams accepted by TrySend during a total outage report their fate
-// exactly once (sent, or ErrConnClosed at close), and OnConnError fires
-// exactly once — while the connection dies mid-retransmission-storm.
-func TestUTCPResultAndErrorExactlyOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("close-linger test skipped in -short")
-	}
-	goros := runtime.NumGoroutine()
-	cli, srv := utcpPair(t, ProtoUCOBSuTCP, TCPConfig{NoDelay: true})
-	srv.OnMessage(func([]byte) {})
-
-	// Let the handshake finish on a healthy wire first: TrySend's OnResult
-	// fires once the probe is framed into the transport.
-	probe := make(chan struct{}, 1)
-	if err := cli.TrySend([]byte("probe"), Options{OnResult: func(error) { probe <- struct{}{} }}); err != nil {
-		t.Fatalf("probe send: %v", err)
-	}
-	select {
-	case <-probe:
-	case <-time.After(10 * time.Second):
-		t.Fatal("probe never transmitted")
-	}
-
-	// Total outage: every datagram (data, retransmits, eventually the FIN)
-	// drops at the socket boundary.
-	wire.SetFaultHooks(&wire.FaultHooks{Write: func(size int) (int, error) {
-		return 0, syscall.ECONNREFUSED
-	}})
-	defer wire.SetFaultHooks(nil)
-
-	var accepted, results atomic.Int64
-	var multi atomic.Int64
-	msg := make([]byte, 8*1024)
-	for i := 0; i < 200; i++ {
-		fired := new(atomic.Int64)
-		err := cli.TrySend(msg, Options{OnResult: func(error) {
-			if fired.Add(1) > 1 {
-				multi.Add(1)
-			}
-			results.Add(1)
-		}})
-		if err == nil {
-			accepted.Add(1)
-		} else if err != ErrWouldBlock {
-			t.Fatalf("TrySend: %v", err)
-		}
-	}
-
-	errs := make(chan error, 2)
-	if !OnConnError(cli, func(err error) { errs <- err }) {
-		t.Fatal("OnConnError unsupported on utcp conn")
-	}
-
-	// Close under total loss: the FIN cannot travel, the linger abort
-	// reclaims the connection, and every accepted datagram's fate reports.
-	cli.Close()
-	select {
-	case err := <-errs:
-		if err != ErrConnClosed {
-			t.Errorf("terminal error = %v, want ErrConnClosed", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("OnConnError never fired")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for results.Load() < accepted.Load() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got, want := results.Load(), accepted.Load(); got != want {
-		t.Errorf("OnResult fired %d times for %d accepted datagrams", got, want)
-	}
-	if m := multi.Load(); m != 0 {
-		t.Errorf("%d datagrams reported more than once", m)
-	}
-	select {
-	case err := <-errs:
-		t.Errorf("OnConnError fired twice (second: %v)", err)
-	default:
-	}
-
-	// The dialed socket's goroutines (reader, loop) must return.
-	wire.SetFaultHooks(nil)
-	srv.Close()
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > goros+4 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > goros+4 {
-		t.Errorf("goroutines did not return: %d now vs %d baseline", n, goros)
 	}
 }
 

@@ -4,18 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"minion/internal/buf"
 	"minion/internal/tcp"
-	"minion/internal/ucobs"
 	"minion/internal/utcp"
-	"minion/internal/utls"
 	"minion/internal/wire"
 )
 
@@ -194,8 +189,10 @@ type DialConfig struct {
 	Loops int
 	// Group attaches the connection to an explicit shared LoopGroup.
 	Group *LoopGroup
-	// Timeout bounds connection establishment end to end: TCP connect
-	// (and name resolution) plus, on ProtoUTLSTCP, the TLS handshake.
+	// Timeout bounds connection establishment end to end: name
+	// resolution, the transport's own handshake (TCP connect on "tcp"
+	// networks, the uTCP SYN exchange on "udp" networks), plus, on the
+	// uTLS stacks (ProtoUTLSTCP and ProtoUTLSuTCP), the TLS handshake.
 	// Zero — the default — means no bound, preserving the historical
 	// behavior that a Dial can wait as long as the kernel does. A connect
 	// that times out returns an error wrapping ErrTimeout; a handshake
@@ -204,9 +201,10 @@ type DialConfig struct {
 	Timeout time.Duration
 	// Retry re-attempts transient dial failures with exponential
 	// backoff. The zero value (Attempts <= 1) preserves single-shot
-	// dialing exactly. With Attempts > 1 a uTLS dial additionally waits
-	// for the handshake to settle before returning, so handshake
-	// failures are retried too, and success means a ready connection.
+	// dialing exactly. With Attempts > 1 a uTLS dial, over kernel TCP or
+	// uTCP, additionally waits for the handshake to settle before
+	// returning, so handshake failures are retried too, and success means
+	// a ready connection.
 	Retry RetryConfig
 }
 
@@ -289,7 +287,8 @@ func (dc DialConfig) group() *wire.Group {
 // middleboxes see nothing unusual — the paper's deployability story on a
 // real network. Kernel TCP cannot deliver out of order, so the framing
 // layers run their in-order receive paths; the uTCP protocol variants
-// return ErrSimOnly.
+// return ErrSimOnly on "tcp" networks and ride userspace uTCP on "udp"
+// networks (see utcp_wire.go), behind the same Conn.
 //
 // Re-entrancy: calls on the SAME connection from inside its OnMessage
 // callback (the echo pattern) run inline and are always safe. Calling
@@ -357,34 +356,27 @@ func (dc DialConfig) Dial(proto Protocol, network, addr string) (Conn, error) {
 // paths. Other protocols pass through untouched. On failure the
 // connection is closed and the handshake (or terminal) error returned.
 func awaitHandshake(proto Protocol, c Conn) (Conn, error) {
-	if proto != ProtoUTLSTCP {
+	if !proto.Secure() {
 		return c, nil
 	}
-	w, ok := c.(*wireConn)
-	if !ok {
-		return c, nil
-	}
+	w := c.(*loopConn)
 	hs := make(chan error, 2)
-	done := w.sc.Do(func() {
-		u, ok := w.inner.(utlsConn)
-		if !ok {
+	w.tr.Do(func() {
+		u := w.inner.(utlsConn)
+		switch {
+		case u.c.Ready():
 			hs <- nil
-			return
+		case u.c.HandshakeErr() != nil:
+			hs <- u.c.HandshakeErr()
+		default:
+			// This takes the adapter's OnReady slot, so it runs the
+			// TrySend pump that hook would have.
+			u.c.OnReady(func() {
+				w.flushAsync()
+				hs <- nil
+			})
 		}
-		if err := u.c.HandshakeErr(); err != nil {
-			hs <- err
-			return
-		}
-		if u.c.Ready() {
-			hs <- nil
-			return
-		}
-		u.c.OnReady(func() { hs <- nil })
 	})
-	if !done {
-		c.Close()
-		return nil, ErrConnClosed
-	}
 	// The terminal-error hook runs on the loop (or inline once the loop
 	// is gone), where reading the handshake error is safe; it upgrades
 	// the generic mapped cause to the specific handshake failure.
@@ -403,19 +395,17 @@ func awaitHandshake(proto Protocol, c Conn) (Conn, error) {
 	return c, nil
 }
 
-// dialOnce is a single dial attempt.
+// dialOnce is a single dial attempt; Dial has vetted proto and network.
 func (dc DialConfig) dialOnce(proto Protocol, network, addr string) (Conn, error) {
+	start := time.Now()
+	var w *loopConn
 	switch proto {
 	case ProtoUDP:
 		// The UDP shim is loop-cheap already (no writer goroutine); it
 		// keeps a dedicated loop regardless of group settings. The kernel
 		// buffer knobs apply — UDP drops silently once its socket queue
 		// fills, so sizing matters more here than on TCP.
-		uc, err := wire.DialUDPConfig(network, addr, wire.UDPConfig{
-			SockSendBufBytes: dc.SockSendBufBytes,
-			SockRecvBufBytes: dc.SockRecvBufBytes,
-			DialTimeout:      dc.Timeout,
-		})
+		uc, err := wire.DialUDPConfig(network, addr, dc.udpConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -424,37 +414,40 @@ func (dc DialConfig) dialOnce(proto Protocol, network, addr string) (Conn, error
 		wcfg := dc.TCPConfig.wireConfig()
 		wcfg.Group = dc.group()
 		wcfg.DialTimeout = dc.Timeout
-		start := time.Now()
 		sc, err := wire.Dial(network, addr, wcfg)
 		if err != nil {
 			return nil, err
 		}
-		c := newWireConn(sc, proto, dc.TCPConfig, true)
-		if dc.Timeout > 0 && proto == ProtoUTLSTCP {
-			// The connect spent part of the budget; the handshake gets the
-			// rest. The timer rides the connection's loop wheel and aborts
-			// with the typed ErrTimeout only if the handshake is still in
-			// flight when it fires — a completed or already-failed
-			// handshake makes it a no-op.
-			remaining := dc.Timeout - time.Since(start)
-			if remaining < time.Millisecond {
-				remaining = time.Millisecond
-			}
-			w := c.(*wireConn)
-			sc.Loop().Schedule(remaining, func() {
-				if u, ok := w.inner.(utlsConn); ok && !u.c.Ready() && u.c.HandshakeErr() == nil {
-					sc.Abort(wire.ErrTimeout)
-				}
-			})
-		}
-		return c, nil
-	case ProtoUCOBSuTCP, ProtoUTLSuTCP:
-		if !udpNetwork(network) {
-			return nil, ErrSimOnly
-		}
-		return dc.dialUTCP(proto, network, addr)
+		w = newTCPConn(sc, proto, dc.TCPConfig, true)
 	default:
-		return nil, fmt.Errorf("minion: unknown protocol %v", proto)
+		// Userspace uTCP over a connected UDP socket; utcp.Dial bounds the
+		// SYN exchange with the same timeout.
+		cli, err := utcp.Dial(network, addr, dc.TCPConfig.tcpConfig(true), dc.udpConfig())
+		if err != nil {
+			return nil, err
+		}
+		w = newLoopConn(cli, proto, dc.TCPConfig, true, nil)
+	}
+	if dc.Timeout > 0 && proto.Secure() {
+		// Establishment spent part of the budget; the handshake gets the
+		// rest. The timer rides the connection's loop wheel and aborts
+		// with the typed ErrTimeout only if the handshake is still in
+		// flight when it fires — a completed or already-failed handshake
+		// makes it a no-op.
+		w.tr.Loop().Schedule(max(dc.Timeout-time.Since(start), time.Millisecond), func() {
+			if u, ok := w.inner.(utlsConn); ok && !u.c.Ready() && u.c.HandshakeErr() == nil {
+				w.tr.Abort(ErrTimeout)
+			}
+		})
+	}
+	return w, nil
+}
+
+func (dc DialConfig) udpConfig() wire.UDPConfig {
+	return wire.UDPConfig{
+		SockSendBufBytes: dc.SockSendBufBytes,
+		SockRecvBufBytes: dc.SockRecvBufBytes,
+		DialTimeout:      dc.Timeout,
 	}
 }
 
@@ -532,13 +525,13 @@ func (l *Listener) Accept() (Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newUTCPConn(ep, l.proto, l.cfg, false, ep.Detach), nil
+		return newLoopConn(ep, l.proto, l.cfg, false, nil), nil
 	}
 	sc, err := l.ln.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return newWireConn(sc, l.proto, l.cfg, false), nil
+	return newTCPConn(sc, l.proto, l.cfg, false), nil
 }
 
 // Addr returns the bound listening address.
@@ -622,41 +615,11 @@ func (cfg TCPConfig) wireConfig() wire.Config {
 	}
 }
 
-// newWireConn stacks the protocol's framing layer on a wire stream. The
-// framing connection is built on the stream's event loop, so incoming
-// bytes (a peer's uTLS hello can already be queued) never race the
-// constructor.
-func newWireConn(sc *wire.Conn, proto Protocol, cfg TCPConfig, isClient bool) Conn {
-	budget := cfg.SendBufBytes
-	if budget == 0 {
-		budget = 256 * 1024 // wire.Config default
-	}
-	w := &wireConn{sc: sc, asyncBudget: int64(budget)}
-	sc.Do(func() {
-		switch proto {
-		case ProtoUCOBSTCP:
-			w.inner = ucobsConn{ucobs.New(sc)}
-		case ProtoUTLSTCP:
-			ucfg := utls.Config{ExplicitRecNum: cfg.ExplicitRecNum, Real: cfg.TLS.handshake()}
-			if isClient {
-				w.inner = utlsConn{utls.Client(sc, ucfg)}
-			} else {
-				w.inner = utlsConn{utls.Server(sc, ucfg)}
-			}
-		}
-		// Lifecycle hooks (all loop-confined). OnError maps the wire
-		// layer's terminal error onto queued TrySend datagrams so their
-		// OnResult fires exactly once with a meaningful cause: typed
-		// timeouts pass through, everything else (peer reset, EOF, local
-		// close) collapses to ErrConnClosed, matching Close's contract.
-		sc.OnError(func(err error) {
-			switch {
-			case err == nil, errors.Is(err, tcp.ErrClosed), errors.Is(err, io.EOF):
-				err = ErrConnClosed
-			}
-			w.failAsync(err)
-			w.reportError(err)
-		})
+// newTCPConn is newLoopConn over kernel TCP, plus the hooks only the
+// wire layer offers: a peer FIN reported to OnConnError, graceful drain
+// at group shutdown, and EvictShed's stall shedding.
+func newTCPConn(sc *wire.Conn, proto Protocol, cfg TCPConfig, isClient bool) *loopConn {
+	return newLoopConn(sc, proto, cfg, isClient, func(w *loopConn) {
 		// A graceful peer FIN is a departure, not an error, but it is
 		// terminal for OnConnError observers (servers reaping clients);
 		// the send side stays usable for half-close protocols.
@@ -666,167 +629,17 @@ func newWireConn(sc *wire.Conn, proto Protocol, cfg TCPConfig, isClient bool) Co
 			sc.OnStall(w.shedLowest)
 		}
 	})
-	return w
-}
-
-// wireConn adapts a loop-confined framing connection to the goroutine-safe
-// public Conn interface: every call is marshalled onto the connection's
-// event loop (the per-connection serial executor), so the protocol state
-// machines stay lock-free exactly as they are on the simulator.
-type wireConn struct {
-	sc    *wire.Conn
-	inner Conn
-
-	// TrySend bookkeeping: asyncBytes meters accepted-but-unsent payload
-	// against asyncBudget from any goroutine; asyncQ holds datagrams the
-	// transport pushed back on, flushed on the stream's OnWritable edge.
-	// asyncQ and flushArmed are loop-confined.
-	asyncBudget int64
-	asyncBytes  atomic.Int64
-	asyncQ      []asyncMsg
-	flushArmed  bool
-
-	// Terminal-error reporting for OnConnError: both fields are
-	// loop-confined. termErr latches the mapped terminal cause so a
-	// callback registered after the connection died still fires.
-	onError func(error)
-	termErr error
-}
-
-type asyncMsg struct {
-	b   *buf.Buffer
-	opt Options
-}
-
-func (w *wireConn) Send(msg []byte, opt Options) error {
-	var err error
-	if !w.sc.Do(func() { err = w.inner.Send(msg, opt) }) {
-		return ErrConnClosed
-	}
-	return err
-}
-
-// TrySend implements the non-blocking send of the Conn contract: it
-// copies msg, reserves budget, and posts the transmission onto the
-// connection's lane, so it is safe from any goroutine — including other
-// connections' OnMessage callbacks (the relay pattern the marshalled
-// Send cannot serve without risking a two-loop deadlock).
-func (w *wireConn) TrySend(msg []byte, opt Options) error {
-	n := int64(len(msg))
-	if w.asyncBytes.Add(n) > w.asyncBudget {
-		w.asyncBytes.Add(-n)
-		return ErrWouldBlock
-	}
-	b := buf.From(msg)
-	if !w.sc.Post(func() { w.asyncDeliver(b, opt) }) {
-		w.asyncBytes.Add(-n)
-		b.Release()
-		return ErrConnClosed
-	}
-	return nil
-}
-
-// asyncDeliver runs on the loop: datagrams keep TrySend order, so
-// anything behind a queued datagram queues too.
-func (w *wireConn) asyncDeliver(b *buf.Buffer, opt Options) {
-	if len(w.asyncQ) > 0 {
-		w.asyncQ = append(w.asyncQ, asyncMsg{b, opt})
-		w.armFlush()
-		return
-	}
-	err := w.inner.Send(b.Bytes(), opt)
-	if errors.Is(err, ErrWouldBlock) {
-		w.asyncQ = append(w.asyncQ, asyncMsg{b, opt})
-		w.armFlush()
-		return
-	}
-	// Sent — or a terminal error (connection closed), in which case the
-	// datagram falls exactly like data in flight at Close. Either way the
-	// fate is known now; report it to callers that asked.
-	w.asyncBytes.Add(-int64(b.Len()))
-	b.Release()
-	if opt.OnResult != nil {
-		opt.OnResult(err)
-	}
-}
-
-func (w *wireConn) armFlush() {
-	if !w.flushArmed {
-		w.flushArmed = true
-		w.sc.OnWritable(w.flushAsync)
-	}
-}
-
-// flushAsync runs on the loop when the transport's send queue drains to
-// its low-water mark: the retry pump for queued TrySend datagrams.
-func (w *wireConn) flushAsync() {
-	for len(w.asyncQ) > 0 {
-		m := w.asyncQ[0]
-		err := w.inner.Send(m.b.Bytes(), m.opt)
-		if errors.Is(err, ErrWouldBlock) {
-			return // the next OnWritable edge resumes
-		}
-		// Sent, or a non-retryable error (oversized record, connection
-		// closing): either way this datagram leaves the queue — dropping
-		// just it, not its successors, keeps a single bad datagram from
-		// killing the stream — and its fate is reported.
-		w.asyncQ[0] = asyncMsg{}
-		w.asyncQ = w.asyncQ[1:]
-		w.asyncBytes.Add(-int64(m.b.Len()))
-		m.b.Release()
-		if m.opt.OnResult != nil {
-			m.opt.OnResult(err)
-		}
-	}
-}
-
-func (w *wireConn) Recv() (msg []byte, ok bool) {
-	w.sc.Do(func() { msg, ok = w.inner.Recv() })
-	return
-}
-
-func (w *wireConn) OnMessage(fn func(msg []byte)) {
-	w.sc.Do(func() {
-		w.inner.OnMessage(fn)
-		if fn == nil {
-			return
-		}
-		// Unlike the simulator, real-socket bytes flow before the
-		// application can possibly register its callback (the peer may
-		// send the moment Accept returns), so datagrams queued in that
-		// window are flushed through the new callback here — atomically
-		// with registration, on the event loop, in arrival order.
-		for {
-			m, ok := w.inner.Recv()
-			if !ok {
-				return
-			}
-			fn(m)
-		}
-	})
-}
-
-func (w *wireConn) Close() {
-	w.sc.Do(func() {
-		w.inner.Close()
-		// Datagrams accepted by TrySend but still queued behind
-		// backpressure are dropped here, exactly like data in flight —
-		// but with their fate reported instead of silent.
-		w.failAsync(ErrConnClosed)
-	})
 }
 
 // drain runs on the loop when the group begins a graceful shutdown: it
 // pushes whatever queued TrySend datagrams still fit into the transport
-// (so the wire layer can flush them), sends the protocol's close
-// sequence (uTLS close_notify / TCP FIN via the framing Close), and
-// reports any datagram that did not make it. The wire layer then waits —
-// bounded by the Shutdown context — for the flushed bytes to reach the
-// kernel before closing the socket.
-func (w *wireConn) drain() {
+// (so the wire layer can flush them), then closes — the protocol's close
+// sequence, and a report for any datagram that did not make it. The wire
+// layer then waits — bounded by the Shutdown context — for the flushed
+// bytes to reach the kernel before closing the socket.
+func (w *loopConn) drain() {
 	w.flushAsync()
-	w.inner.Close()
-	w.failAsync(ErrConnClosed)
+	w.shut()
 }
 
 // shedLowest implements EvictShed, on the loop: drop the lowest-priority
@@ -836,15 +649,13 @@ func (w *wireConn) drain() {
 // layer to escalate to eviction. Only never-framed datagrams are shed —
 // bytes already in the transport queue may sit mid-TLS-record and cannot
 // be skipped.
-func (w *wireConn) shedLowest() int {
+func (w *loopConn) shedLowest() int {
 	if len(w.asyncQ) == 0 {
 		return 0
 	}
 	worst := w.asyncQ[0].opt.Priority
 	for _, m := range w.asyncQ[1:] {
-		if m.opt.Priority > worst {
-			worst = m.opt.Priority
-		}
+		worst = max(worst, m.opt.Priority)
 	}
 	freed, kept := 0, w.asyncQ[:0]
 	for _, m := range w.asyncQ {
@@ -853,132 +664,11 @@ func (w *wireConn) shedLowest() int {
 			continue
 		}
 		freed += m.b.Len()
-		w.asyncBytes.Add(-int64(m.b.Len()))
-		m.b.Release()
-		if m.opt.OnResult != nil {
-			m.opt.OnResult(ErrSlowClient)
-		}
+		w.settle(m, ErrSlowClient)
 	}
-	for i := len(kept); i < len(w.asyncQ); i++ {
-		w.asyncQ[i] = asyncMsg{}
-	}
+	clear(w.asyncQ[len(kept):])
 	w.asyncQ = kept
 	return freed
-}
-
-// reportError latches the first terminal cause and delivers it to the
-// OnConnError observer exactly once. Runs on the loop (or inline during
-// post-loop teardown).
-func (w *wireConn) reportError(err error) {
-	if w.termErr == nil {
-		w.termErr = err
-	}
-	if w.onError != nil {
-		fn := w.onError
-		w.onError = nil
-		fn(w.termErr)
-	}
-}
-
-// failAsync drops every queued TrySend datagram with err, reporting each
-// through its OnResult. Runs on the loop.
-func (w *wireConn) failAsync(err error) {
-	for i, m := range w.asyncQ {
-		w.asyncBytes.Add(-int64(m.b.Len()))
-		m.b.Release()
-		if m.opt.OnResult != nil {
-			m.opt.OnResult(err)
-		}
-		w.asyncQ[i] = asyncMsg{}
-	}
-	w.asyncQ = w.asyncQ[:0]
-}
-
-// Inner returns the framing-layer connection for instrumentation; use it
-// only via the connection's event loop (wire.Conn.Do).
-func (w *wireConn) Inner() Conn { return w.inner }
-
-// OnConnError registers fn to run exactly once when c reaches a terminal
-// state — peer close, socket error, eviction, or local Close — with the
-// same mapped cause TrySend's OnResult reports (ErrConnClosed for
-// ordinary closure, typed errors such as ErrTimeout passed through). fn
-// runs on the connection's event loop; if the connection is already dead
-// at registration, fn fires immediately with the latched cause. This is
-// how servers holding many accepted connections (the relay pattern)
-// learn a client left without polling. Reports false — and never calls
-// fn — when c's substrate has no terminal-error reporting (simulated
-// endpoints, UDP shims).
-func OnConnError(c Conn, fn func(error)) bool {
-	switch w := c.(type) {
-	case *wireConn:
-		if fn == nil {
-			return true
-		}
-		if !w.sc.Do(func() {
-			if w.termErr != nil {
-				fn(w.termErr)
-				return
-			}
-			w.onError = fn
-		}) {
-			// Loop already gone: the connection is dead and its terminal
-			// error was delivered (or discarded) during teardown.
-			fn(ErrConnClosed)
-		}
-		return true
-	case *utcpConn:
-		if fn == nil {
-			return true
-		}
-		if !w.tr.Do(func() {
-			if w.termErr != nil {
-				fn(w.termErr)
-				return
-			}
-			w.onError = fn
-		}) {
-			fn(ErrConnClosed)
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// SupportsPriorities reports whether c's substrate honors
-// Options.Priority and Options.Squash on sends. Stock uTLS cannot
-// reorder its ciphertext stream — priorities there require the explicit
-// record-number extension (TCPConfig.ExplicitRecNum, and both endpoints
-// must negotiate it) — so a prioritized send on a stock flow fails with
-// a typed error instead of silently corrupting record order. Callers
-// that degrade gracefully (the relay) probe once per connection and
-// drop the priority tag when the answer is false. For uTLS the answer
-// is settled only once the handshake completes; probing from a message
-// callback (any delivered datagram implies a finished handshake) is
-// always safe.
-func SupportsPriorities(c Conn) bool {
-	switch w := c.(type) {
-	case *wireConn:
-		sup := true
-		w.sc.Do(func() {
-			if u, ok := w.inner.(utlsConn); ok {
-				sup = u.c.ExplicitRecNumActive()
-			}
-		})
-		return sup
-	case *utcpConn:
-		// uCOBS over uTCP reorders natively; uTLS still needs the explicit
-		// record-number extension to decrypt out of order.
-		sup := true
-		w.tr.Do(func() {
-			if u, ok := w.inner.(utlsConn); ok {
-				sup = u.c.ExplicitRecNumActive()
-			}
-		})
-		return sup
-	default:
-		return true // simulated substrates accept (and ignore) the tag
-	}
 }
 
 // ErrConnClosed is returned by operations on a closed wire connection.
