@@ -241,104 +241,114 @@ func TestTrySendOnResultReportsDropAtClose(t *testing.T) {
 	}
 }
 
-// TestResultAndErrorExactlyOnce drives the adapter's failure fan-out on
-// both transports: a datagram sent on a healthy connection reports nil;
+// TestTrySendOnResultRealSocket: Options.OnResult must report, exactly
+// once per accepted datagram, nil for transmitted sends and an error for
+// datagrams dropped at teardown while queued behind backpressure, over
+// kernel TCP (see testResultAndErrorExactlyOnce).
+func TestTrySendOnResultRealSocket(t *testing.T) {
+	testResultAndErrorExactlyOnce(t, ProtoUCOBSTCP)
+}
+
+// TestUTCPResultAndErrorExactlyOnce is the same contract over uTCP, where
+// the connection dies mid-retransmission-storm.
+func TestUTCPResultAndErrorExactlyOnce(t *testing.T) {
+	testResultAndErrorExactlyOnce(t, ProtoUCOBSuTCP)
+}
+
+// testResultAndErrorExactlyOnce drives the adapter's failure fan-out on
+// proto's transport: a datagram sent on a healthy connection reports nil;
 // datagrams accepted by TrySend during a total outage (the socket refuses
 // every write) report their fate exactly once — sent, or ErrConnClosed
 // at Close — and OnConnError fires exactly once with ErrConnClosed, while
 // the connection dies with its writes stuck. The dialed socket's
 // goroutines must then return.
-func TestResultAndErrorExactlyOnce(t *testing.T) {
+func testResultAndErrorExactlyOnce(t *testing.T, proto Protocol) {
 	if testing.Short() {
 		t.Skip("close-linger test skipped in -short")
 	}
-	for _, proto := range []Protocol{ProtoUCOBSTCP, ProtoUCOBSuTCP} {
-		t.Run(networkOf(proto), func(t *testing.T) {
-			goros := runtime.NumGoroutine()
-			cli, srv := socketPair(t, proto, TCPConfig{NoDelay: true})
-			srv.OnMessage(func([]byte) {})
-			// A server that closes once its client is gone, so a kernel-TCP
-			// client's teardown need not wait out its read-side linger.
-			OnConnError(srv, func(error) { srv.Close() })
+	goros := runtime.NumGoroutine()
+	cli, srv := socketPair(t, proto, TCPConfig{NoDelay: true})
+	srv.OnMessage(func([]byte) {})
+	// A server that closes once its client is gone, so a kernel-TCP
+	// client's teardown need not wait out its read-side linger.
+	OnConnError(srv, func(error) { srv.Close() })
 
-			// A healthy wire first (which also finishes the handshake):
-			// the probe's OnResult reports nil once the transport took it.
-			probe := make(chan error, 1)
-			if err := cli.TrySend([]byte("probe"), Options{OnResult: func(e error) { probe <- e }}); err != nil {
-				t.Fatalf("probe send: %v", err)
-			}
-			select {
-			case e := <-probe:
-				if e != nil {
-					t.Fatalf("OnResult for a deliverable datagram = %v, want nil", e)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("OnResult never fired for an accepted datagram")
-			}
+	// A healthy wire first (which also finishes the handshake):
+	// the probe's OnResult reports nil once the transport took it.
+	probe := make(chan error, 1)
+	if err := cli.TrySend([]byte("probe"), Options{OnResult: func(e error) { probe <- e }}); err != nil {
+		t.Fatalf("probe send: %v", err)
+	}
+	select {
+	case e := <-probe:
+		if e != nil {
+			t.Fatalf("OnResult for a deliverable datagram = %v, want nil", e)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("OnResult never fired for an accepted datagram")
+	}
 
-			// Total outage: kernel TCP's writer stalls as if the peer's
-			// window were shut; UDP datagrams (data, retransmits, the FIN)
-			// drop at the socket boundary.
-			wire.SetFaultHooks(&wire.FaultHooks{Write: func(int) (int, error) { return 0, syscall.EAGAIN }})
-			defer wire.SetFaultHooks(nil)
+	// Total outage: kernel TCP's writer stalls as if the peer's
+	// window were shut; UDP datagrams (data, retransmits, the FIN)
+	// drop at the socket boundary.
+	wire.SetFaultHooks(&wire.FaultHooks{Write: func(int) (int, error) { return 0, syscall.EAGAIN }})
+	defer wire.SetFaultHooks(nil)
 
-			var accepted, results, multi atomic.Int64
-			msg := make([]byte, 8*1024)
-			for i := 0; i < 200; i++ {
-				fired := new(atomic.Int64)
-				err := cli.TrySend(msg, Options{OnResult: func(error) {
-					if fired.Add(1) > 1 {
-						multi.Add(1)
-					}
-					results.Add(1)
-				}})
-				if err == nil {
-					accepted.Add(1)
-				} else if !errors.Is(err, ErrWouldBlock) {
-					t.Fatalf("TrySend: %v", err)
-				}
+	var accepted, results, multi atomic.Int64
+	msg := make([]byte, 8*1024)
+	for i := 0; i < 200; i++ {
+		fired := new(atomic.Int64)
+		err := cli.TrySend(msg, Options{OnResult: func(error) {
+			if fired.Add(1) > 1 {
+				multi.Add(1)
 			}
+			results.Add(1)
+		}})
+		if err == nil {
+			accepted.Add(1)
+		} else if !errors.Is(err, ErrWouldBlock) {
+			t.Fatalf("TrySend: %v", err)
+		}
+	}
 
-			errs := make(chan error, 2)
-			if !OnConnError(cli, func(err error) { errs <- err }) {
-				t.Fatal("OnConnError unsupported")
-			}
-			// Close mid-outage: the close sequence cannot travel, the
-			// transport's linger reclaims the connection, and every
-			// accepted datagram's fate reports.
-			cli.Close()
-			select {
-			case err := <-errs:
-				if err != ErrConnClosed {
-					t.Errorf("terminal error = %v, want ErrConnClosed", err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("OnConnError never fired")
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for results.Load() < accepted.Load() && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if got, want := results.Load(), accepted.Load(); got != want {
-				t.Errorf("OnResult fired %d times for %d accepted datagrams", got, want)
-			}
-			if m := multi.Load(); m != 0 {
-				t.Errorf("%d datagrams reported more than once", m)
-			}
-			select {
-			case err := <-errs:
-				t.Errorf("OnConnError fired twice (second: %v)", err)
-			default:
-			}
+	errs := make(chan error, 2)
+	if !OnConnError(cli, func(err error) { errs <- err }) {
+		t.Fatal("OnConnError unsupported")
+	}
+	// Close mid-outage: the close sequence cannot travel, the
+	// transport's linger reclaims the connection, and every
+	// accepted datagram's fate reports.
+	cli.Close()
+	select {
+	case err := <-errs:
+		if err != ErrConnClosed {
+			t.Errorf("terminal error = %v, want ErrConnClosed", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("OnConnError never fired")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for results.Load() < accepted.Load() && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got, want := results.Load(), accepted.Load(); got != want {
+		t.Errorf("OnResult fired %d times for %d accepted datagrams", got, want)
+	}
+	if m := multi.Load(); m != 0 {
+		t.Errorf("%d datagrams reported more than once", m)
+	}
+	select {
+	case err := <-errs:
+		t.Errorf("OnConnError fired twice (second: %v)", err)
+	default:
+	}
 
-			wire.SetFaultHooks(nil)
-			srv.Close()
-			for time.Now().Before(deadline) && runtime.NumGoroutine() > goros+4 {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > goros+4 {
-				t.Errorf("goroutines did not return: %d now vs %d baseline", n, goros)
-			}
-		})
+	wire.SetFaultHooks(nil)
+	srv.Close()
+	for time.Now().Before(deadline) && runtime.NumGoroutine() > goros+4 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goros+4 {
+		t.Errorf("goroutines did not return: %d now vs %d baseline", n, goros)
 	}
 }
