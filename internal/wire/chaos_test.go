@@ -89,6 +89,71 @@ func TestChaosReadReset(t *testing.T) {
 			b.Close()
 		})
 	}
+	// The reset lands on the unwatched peer b. A hard read error is
+	// terminal both ways, so b must abort and close its socket: a then
+	// reads the close, and a's own Close tears down well inside the
+	// linger instead of waiting all of it out for a peer that will never
+	// speak again.
+	for _, mode := range []string{"dedicated", "shared", "poll"} {
+		t.Run("peer/"+mode, func(t *testing.T) {
+			if mode == "poll" && !pollSupported {
+				t.Skip("no poller")
+			}
+			chaosCheck(t)
+			for attempt := 0; ; attempt++ {
+				if attempt == 5 {
+					t.Fatal("the injected reset never landed on the peer")
+				}
+				if peerResetClosesPromptly(t, mode) {
+					return
+				}
+			}
+		})
+	}
+}
+
+// peerResetClosesPromptly runs one peer-reset scenario. It reports false
+// when the one-shot reset was consumed by the watched side's reader
+// instead of the peer's (a reader goroutine still on its way back to its
+// next read when the hook was armed), so the caller retries.
+func peerResetClosesPromptly(t *testing.T, mode string) bool {
+	t.Helper()
+	a, b := lifecyclePair(t, mode, Config{NoDelay: true})
+	defer a.Close()
+	defer b.Close()
+	errsA, errsB := watchErr(t, a), watchErr(t, b)
+	// Settle a's reader back into its blocking read: only b receives
+	// anything after the hook is armed.
+	b.Do(func() { b.Write([]byte("settle")) })
+	collect(t, a, len("settle"))
+	time.Sleep(20 * time.Millisecond)
+	var once atomic.Bool
+	SetFaultHooks(&FaultHooks{Read: func(size int) (int, error) {
+		if once.CompareAndSwap(false, true) {
+			return 0, syscall.ECONNRESET
+		}
+		return 0, nil
+	}})
+	defer SetFaultHooks(nil)
+	a.Do(func() { a.Write([]byte("poke")) })
+	select {
+	case <-errsB:
+	case <-errsA:
+		return false
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer reported no terminal error after an injected reset")
+	}
+	start := time.Now()
+	a.Close()
+	select {
+	case err := <-errsA:
+		if err == nil {
+			t.Fatal("terminal error is nil")
+		}
+	case <-time.After(time.Duration(closeLinger.Load()) / 5):
+		t.Fatalf("no terminal error %v after Close: the reset peer kept its socket open", time.Since(start))
+	}
+	return true
 }
 
 func TestChaosEAGAINStormIntegrity(t *testing.T) {

@@ -145,11 +145,11 @@ func (c *Conn) pollRead() {
 					c.loop.Schedule(faultRetryDelay, func() { c.rSig.Raise() })
 					break
 				}
-				c.rerr = tcp.ErrClosed
-				c.rdone.Do(func() { close(c.readerDone) })
-				c.fireError(c.rerr)
-				delivered = true
-				break
+				// A hard read error is terminal both ways (only a graceful
+				// EOF leaves the send side usable): abort, which reports it
+				// and closes the socket so the peer learns of it too.
+				c.abortOnLoop(tcp.ErrClosed)
+				return
 			}
 			space, capped = space[:capN], true
 		}
@@ -184,17 +184,14 @@ func (c *Conn) pollRead() {
 		}
 		b.Release()
 		// EOF (clean peer close) or a terminal socket error: surface it
-		// exactly like the reader goroutine does, and release Close's wait
-		// on the receive side.
-		if err == nil {
-			c.rerr = io.EOF
-			eof = true
-		} else {
-			// A hard read error is terminal both ways (only a graceful EOF
-			// leaves the send side usable); report it now, not at teardown.
-			c.rerr = tcp.ErrClosed
-			c.fireError(c.rerr)
+		// exactly like the reader goroutine does.
+		if err != nil {
+			c.abortOnLoop(tcp.ErrClosed)
+			return
 		}
+		c.rerr = io.EOF
+		eof = true
+		// Release Close's wait on the receive side.
 		c.rdone.Do(func() { close(c.readerDone) })
 		delivered = true
 		break

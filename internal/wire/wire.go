@@ -723,19 +723,21 @@ func (c *Conn) readFail(err error) {
 		rerr = tcp.ErrClosed
 	}
 	c.lane.Post(func() {
+		if rerr != io.EOF {
+			// A hard read error (reset, kicked-out socket) is terminal in
+			// both directions — only a peer's graceful EOF leaves the send
+			// side usable. Abort: report it now and close the socket, so
+			// the peer learns of it instead of waiting out its linger.
+			c.abortOnLoop(rerr)
+			return
+		}
 		if c.rerr == nil {
 			c.rerr = rerr
 		}
 		if c.onReadable != nil {
 			c.onReadable()
 		}
-		if rerr != io.EOF {
-			// A hard read error (reset, kicked-out socket) is terminal in
-			// both directions — only a peer's graceful EOF leaves the send
-			// side usable. Report it now; teardown's backstop would be a
-			// linger away.
-			c.fireError(rerr)
-		} else if c.onEOF != nil {
+		if c.onEOF != nil {
 			// Graceful peer close: every datagram the peer sent has been
 			// delivered (this post is behind the last data post on the
 			// lane). The send side stays open; the hook is notification,
