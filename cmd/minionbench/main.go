@@ -26,8 +26,8 @@
 //
 // Two further subcommands track the real-socket substrate:
 //
-//	connscale  drive 1→131072 loopback connections in poll, shared, or
-//	           dedicated mode (-mode; poll is the Linux default) and
+//	connscale  drive 1→131072 loopback connections in poll or
+//	           dedicated mode (-mode; poll is the default) and
 //	           write BENCH_<conns>.json (ns/op, goroutines, allocs/op,
 //	           syscalls per datagram, poll wakeups, accept sharding and
 //	           per-loop distribution). Raises RLIMIT_NOFILE to the

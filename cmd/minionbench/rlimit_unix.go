@@ -21,23 +21,31 @@ func raiseFDLimit(need uint64) error {
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 		return err
 	}
-	if lim.Cur >= need {
+	cur, max := rlimValue(lim.Cur), rlimValue(lim.Max)
+	if cur >= need {
 		return nil
 	}
-	if lim.Max >= need {
-		lim.Cur = need
+	if max >= need {
+		setRlim(&lim.Cur, need)
 		if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 			return fmt.Errorf("raising RLIMIT_NOFILE soft limit %d -> %d (hard %d): %w",
-				lim.Cur, need, lim.Max, err)
+				cur, need, max, err)
 		}
 		return nil
 	}
 	try := lim
-	try.Cur, try.Max = need, need
+	setRlim(&try.Cur, need)
+	setRlim(&try.Max, need)
 	if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &try); err == nil {
 		return nil
 	}
 	return fmt.Errorf("RLIMIT_NOFILE too low: need %d fds, soft limit %d, hard limit %d "+
 		"(raise it with `ulimit -Hn`/LimitNOFILE= or grant CAP_SYS_RESOURCE)",
-		need, lim.Cur, lim.Max)
+		need, cur, max)
 }
+
+// rlimValue and setRlim bridge syscall.Rlimit's field type, which is
+// uint64 on Linux and darwin but int64 on freebsd.
+func rlimValue[T int64 | uint64](v T) uint64 { return uint64(v) }
+
+func setRlim[T int64 | uint64](p *T, v uint64) { *p = T(v) }

@@ -15,26 +15,24 @@
 //
 // Concurrency model: protocol work for a connection executes serially on
 // an rt.Loop event goroutine, preserving the simulator's "no locks above
-// the kernel" invariant. Three runtime shapes exist:
+// the kernel" invariant. Two runtime shapes exist:
 //
-//   - Per-connection loops (the default): each connection owns a loop, a
-//     reader goroutine, and a writer goroutine — 3 goroutines per
-//     connection, maximum isolation.
-//   - Shared loops (Config.Group, ModeShared): a Group multiplexes N
-//     connections per loop, one loop per core. Each connection keeps only
-//     its reader goroutine; event work enters the loop through a
-//     per-connection FIFO lane (preserving delivery order), and queued
-//     writes drain through the loop's shared writer in 20 ms fairness
-//     slices of vectored batches. 2 goroutines per loop plus 1 reader per
-//     connection.
-//   - Poll mode (Config.Group, ModePoll — the Group default on Linux):
-//     each loop owns a readiness poller (epoll) registered edge-triggered
-//     on every connection's fd, and the loop's event goroutine parks in
-//     it. Reads and writes run non-blocking on the event goroutine
-//     itself; a peer that stops reading parks its connection until
-//     EPOLLOUT instead of costing loop-mates fairness slices. 2
-//     goroutines per loop, zero per connection — the shape whose
-//     per-connection cost is a map entry and an epoll registration.
+//   - Poll (Config.Group on Linux): a Group multiplexes N connections per
+//     loop, one loop per core. Each loop owns a readiness poller (epoll)
+//     registered edge-triggered on every connection's fd, and the loop's
+//     event goroutine parks in it. Reads and writes run non-blocking on
+//     the event goroutine itself; a peer that stops reading parks its
+//     connection until EPOLLOUT. One goroutine per loop, zero per
+//     connection — the shape whose per-connection cost is a map entry
+//     and an epoll registration.
+//   - Goroutine fallback (the default without a Group, and the portable
+//     shape for sockets a Group cannot poll: other platforms, non-TCP
+//     net.Conns, failed epoll registration): a reader goroutine and a
+//     writer goroutine per connection, both free to block in the kernel.
+//     The reader posts into the loop through a per-connection FIFO lane
+//     (preserving delivery order). Without a Group the connection also
+//     owns its loop — 3 goroutines per connection, maximum isolation; on
+//     a Group it shares the group loop.
 //
 // Either way, buffers cross the socket boundary by reference: the
 // zero-copy ownership conventions of the datagram datapath hold end to

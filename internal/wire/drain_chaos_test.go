@@ -28,12 +28,14 @@ func TestChaosDrainDuringFaultStorm(t *testing.T) {
 				t.Skip("no poller")
 			}
 			chaosCheck(t)
-			wmode := ModeShared
-			if mode == "poll" {
-				wmode = ModePoll
+			// "shared" runs the goroutine fallback on the group's loops:
+			// unix sockets are never polled.
+			network, addr := "tcp", "127.0.0.1:0"
+			if mode == "shared" {
+				network, addr = "unix", unixAddr(t)
 			}
-			grp := NewGroupMode(2, wmode)
-			ln, err := Listen("tcp", "127.0.0.1:0", Config{Group: grp, NoDelay: true})
+			grp := NewGroup(2)
+			ln, err := Listen(network, addr, Config{Group: grp, NoDelay: true})
 			if err != nil {
 				t.Fatalf("Listen: %v", err)
 			}
@@ -64,7 +66,7 @@ func TestChaosDrainDuringFaultStorm(t *testing.T) {
 			payload := bytes.Repeat([]byte{0xd7}, 4096)
 			var clients []net.Conn
 			for i := 0; i < flows; i++ {
-				nc, err := net.Dial("tcp", ln.Addr().String())
+				nc, err := net.Dial(network, ln.Addr().String())
 				if err != nil {
 					t.Fatalf("dial %d: %v", i, err)
 				}

@@ -8,123 +8,63 @@ import (
 	"minion/internal/rt"
 )
 
-// Mode selects how a Group's loops move bytes between sockets and
-// connection state.
-type Mode int
-
-const (
-	// ModeShared is the PR-3 shape: one netWriter goroutine per loop
-	// rotating 20 ms fairness slices across dirty connections, plus one
-	// blocking reader goroutine per connection.
-	ModeShared Mode = iota
-	// ModePoll is the readiness-driven shape: one poller (epoll on Linux)
-	// per loop registers every connection's fd edge-triggered, reads and
-	// writes run non-blocking on the event goroutine, and a stalled peer
-	// parks until the kernel reports writability. Zero goroutines per
-	// connection; falls back to ModeShared where the platform has no
-	// poller.
-	ModePoll
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeShared:
-		return "shared"
-	case ModePoll:
-		return "poll"
-	}
-	return "invalid"
-}
-
-// DefaultMode is the Group mode NewGroup picks: poll where the platform
-// supports it (Linux), shared elsewhere.
-func DefaultMode() Mode {
-	if pollSupported {
-		return ModePoll
-	}
-	return ModeShared
-}
-
 // Group is the shared-loop runtime for wire connections: an rt.LoopGroup
-// (a loop per core by default) plus, per loop, a shared netWriter and —
-// in poll mode — a readiness poller. A connection attached to a poll
-// Group costs zero goroutines (the loop's event, poller, and writer
-// goroutines are amortized across every connection assigned to it); in
-// shared mode it costs one (its blocking socket reader).
+// (a loop per core by default) plus, on Linux, one readiness poller per
+// loop. A TCP connection attached to a Group costs zero goroutines: the
+// loop's event goroutine parks in the poller and does the connection's
+// reads and writes itself. A socket the poller cannot take (any platform
+// without one, a non-TCP net.Conn, a failed epoll registration) runs the
+// goroutine fallback on its group loop instead: a blocking reader and
+// writer per connection, exactly as on a dedicated loop.
 //
 // Shutdown is reference-counted: Close marks the group closed, but the
-// loops, writers, and pollers keep running until the last attached
-// connection detaches, so closing a listener never yanks the runtime out
-// from under established connections.
+// loops and pollers keep running until the last attached connection
+// detaches, so closing a listener never yanks the runtime out from under
+// established connections.
 type Group struct {
 	mu      sync.Mutex
 	lg      *rt.LoopGroup
-	writers map[*rt.Loop]*netWriter
 	pollers map[*rt.Loop]*poller
 	conns   map[*Conn]struct{} // attached connections, for Shutdown's drain
-	mode    Mode
 	refs    int
 	closed  bool
 }
 
 // NewGroup starts a shared-loop runtime of n loops (n <= 0 means
-// GOMAXPROCS — loop per core) in the platform's default mode. Close it
-// when no more connections will be attached.
-func NewGroup(n int) *Group { return NewGroupMode(n, DefaultMode()) }
-
-// NewGroupMode starts a group in an explicit mode. ModePoll degrades to
-// ModeShared where the platform has no poller (check Mode() for the
-// outcome).
-func NewGroupMode(n int, mode Mode) *Group {
-	if mode == ModePoll && !pollSupported {
-		mode = ModeShared
-	}
+// GOMAXPROCS — loop per core). Close it when no more connections will be
+// attached.
+func NewGroup(n int) *Group {
 	lg := rt.NewLoopGroup(n)
 	g := &Group{
 		lg:      lg,
-		writers: make(map[*rt.Loop]*netWriter, lg.Len()),
 		pollers: make(map[*rt.Loop]*poller, lg.Len()),
 		conns:   make(map[*Conn]struct{}),
-		mode:    mode,
 	}
+	// Create every poller before installing any as its loop's parker: a
+	// partially-polling group (some loops parked in epoll, some not)
+	// would be incoherent, and a poller may not be closed once a live
+	// loop parks through it.
 	for i := 0; i < lg.Len(); i++ {
-		// The netWriter exists in every mode: poll-mode groups hand it to
-		// connections whose socket cannot be polled (non-TCP net.Conns,
-		// registration failure), so attach never fails backward.
-		g.writers[lg.Loop(i)] = newNetWriter()
-	}
-	if mode == ModePoll {
-		// Create every poller before installing any as its loop's parker:
-		// a partially-degraded group (some loops parked in epoll, some
-		// not) would be incoherent, and a poller may not be closed once a
-		// live loop parks through it.
-		for i := 0; i < lg.Len(); i++ {
-			p, ok := newPoller()
-			if !ok {
-				// Kernel refused an epoll instance: degrade the whole
-				// group coherently rather than running half-poll.
-				for _, q := range g.pollers {
-					q.close()
-				}
-				g.pollers = make(map[*rt.Loop]*poller)
-				g.mode = ModeShared
-				break
+		p, ok := newPoller()
+		if !ok {
+			// No poller on this platform, or the kernel refused an epoll
+			// instance: every connection takes the goroutine fallback.
+			for _, q := range g.pollers {
+				q.close()
 			}
-			g.pollers[lg.Loop(i)] = p
+			g.pollers = nil
+			break
 		}
-		for loop, p := range g.pollers {
-			// The loop's event goroutine now parks inside epoll_wait:
-			// socket readiness and lane posts wake it through one
-			// mechanism, with no poller goroutine in between.
-			loop.SetParker(p)
-		}
+		g.pollers[lg.Loop(i)] = p
+	}
+	for loop, p := range g.pollers {
+		// The loop's event goroutine now parks inside epoll_wait: socket
+		// readiness and lane posts wake it through one mechanism, with no
+		// poller goroutine in between.
+		loop.SetParker(p)
 	}
 	return g
 }
-
-// Mode returns the mode the group actually runs (after any platform
-// fallback).
-func (g *Group) Mode() Mode { return g.mode }
 
 // Len returns the number of loops.
 func (g *Group) Len() int { return g.lg.Len() }
@@ -143,16 +83,16 @@ func (g *Group) pollRegistrations() int {
 	return n
 }
 
-// assign attaches a connection: a loop, that loop's writer and poller
-// (nil outside poll mode), and a detach func. shard >= 0 pins the
+// assign attaches a connection: a loop, that loop's poller (nil when the
+// group has none), and a detach func. shard >= 0 pins the
 // connection to that loop (sharded accept: the kernel already picked the
 // loop by picking its listener socket); shard < 0 is least-loaded
 // placement. ok is false once the group is closed.
-func (g *Group) assign(shard int) (loop *rt.Loop, nw *netWriter, pl *poller, release func(), ok bool) {
+func (g *Group) assign(shard int) (loop *rt.Loop, pl *poller, release func(), ok bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, nil, nil, nil, false
+		return nil, nil, nil, false
 	}
 	g.refs++
 	if shard >= 0 && shard < g.lg.Len() {
@@ -160,7 +100,6 @@ func (g *Group) assign(shard int) (loop *rt.Loop, nw *netWriter, pl *poller, rel
 	} else {
 		loop = g.lg.Assign()
 	}
-	nw = g.writers[loop]
 	pl = g.pollers[loop]
 	var once sync.Once
 	release = func() {
@@ -175,7 +114,7 @@ func (g *Group) assign(shard int) (loop *rt.Loop, nw *netWriter, pl *poller, rel
 			}
 		})
 	}
-	return loop, nw, pl, release, true
+	return loop, pl, release, true
 }
 
 // retain takes a non-connection reference on the group's runtime — the
@@ -204,7 +143,7 @@ func (g *Group) retain() (release func(), ok bool) {
 	}, true
 }
 
-// loopShard returns loop i and its poller (nil outside poll mode) — the
+// loopShard returns loop i and its poller (nil when the group has none) — the
 // sharded listener's wiring view. It takes no reference; pair with
 // retain.
 func (g *Group) loopShard(i int) (*rt.Loop, *poller) {
@@ -215,8 +154,7 @@ func (g *Group) loopShard(i int) (*rt.Loop, *poller) {
 	return loop, pl
 }
 
-// Close stops accepting attachments and shuts the loops, writers, and
-// pollers down once the last attached connection detaches (immediately if
+// Close stops accepting attachments and shuts the loops and pollers down once the last attached connection detaches (immediately if
 // none are).
 func (g *Group) Close() {
 	g.mu.Lock()
@@ -234,9 +172,6 @@ func (g *Group) Close() {
 
 func (g *Group) shutdown() {
 	g.lg.Close()
-	for _, w := range g.writers {
-		w.close()
-	}
 	for _, p := range g.pollers {
 		p.close()
 	}
@@ -279,8 +214,8 @@ type DrainStats struct {
 // — for each connection's queued writes to reach the kernel before the
 // FIN. Connections still undrained at the context deadline are aborted
 // with ErrTimeout, which releases their buffers and reports their queued
-// datagrams through the usual accounting hooks. The loops, writers, and
-// pollers shut down once the last connection detaches (exactly as with
+// datagrams through the usual accounting hooks. The loops and pollers
+// shut down once the last connection detaches (exactly as with
 // Close). Must not be called from a loop callback: it blocks on loop
 // work.
 func (g *Group) Shutdown(ctx context.Context) DrainStats {

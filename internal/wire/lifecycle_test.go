@@ -12,19 +12,16 @@ import (
 	"minion/internal/tcp"
 )
 
-// lifecyclePair builds a conn pair in the requested group mode (or
-// dedicated loops when g is nil for both sides).
+// lifecyclePair builds a conn pair in the requested shape: "dedicated"
+// (goroutine fallback on loops of its own), "shared" (goroutine fallback
+// on group loops) or "poll" (a polling group).
 func lifecyclePair(t *testing.T, mode string, cfg Config) (*Conn, *Conn) {
 	t.Helper()
 	switch mode {
 	case "dedicated":
 		return pipePair(t, cfg)
 	case "shared":
-		gA, gB := NewGroupMode(1, ModeShared), NewGroupMode(1, ModeShared)
-		t.Cleanup(func() { gA.Close(); gB.Close() })
-		cfgA, cfgB := cfg, cfg
-		cfgA.Group, cfgB.Group = gA, gB
-		return pipePairCfg(t, cfgA, cfgB)
+		return sharedPair(t, cfg)
 	case "poll":
 		return pollPair(t, cfg)
 	}
@@ -228,24 +225,30 @@ func TestCloseDuringParkedWrite(t *testing.T) {
 }
 
 func TestCloseLingerBounded(t *testing.T) {
-	// A peer that never drains must not pin Close longer than the linger.
+	// A peer that never drains must not pin Close's teardown longer than
+	// the linger, and the writer blocked on it must give up when the
+	// linger's write deadline expires instead of retrying the expired
+	// deadline until teardown.
 	a, _ := pipePair(t, stallConfig(Config{}))
 	fillUntilStall(t, a)
 	old := closeLinger.Load()
 	closeLinger.Store(int64(150 * time.Millisecond))
 	defer closeLinger.Store(old)
+	writes := ReadIOStats().TCPWriteCalls
 	start := time.Now()
-	done := make(chan struct{})
-	go func() { a.Close(); close(done) }()
+	a.Close()
 	select {
-	case <-done:
+	case <-a.readerDone: // teardown closed the socket
 		// Generous upper bound: linger on the write side plus the read side
 		// plus scheduling noise.
 		if el := time.Since(start); el > 2*time.Second {
-			t.Fatalf("Close took %v with a 150ms linger", el)
+			t.Fatalf("teardown took %v with a 150ms linger", el)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("Close ignored the linger bound")
+	}
+	if n := ReadIOStats().TCPWriteCalls - writes; n > 100 {
+		t.Fatalf("%d socket writes between Close and teardown: the writer spun on its expired deadline", n)
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 
 // Readiness-driven I/O (poll mode).
 //
-// In shared-loop mode every connection still burns one goroutine blocked
-// in a socket read, and the loop's shared writer discovers a stalled peer
-// only by paying for it: each rotation spends up to one 20 ms fairness
-// slice blocked on the dead socket. Poll mode removes both costs. Each
-// loop owns a poller — an epoll instance on Linux (poller_linux.go),
-// nothing elsewhere (poller_other.go keeps the package portable) — that
-// the loop's own event goroutine parks in (rt.Parker): readiness events
+// The goroutine fallback burns two goroutines per connection, one
+// blocked in a socket read and one in a socket write. Poll mode removes
+// both. Each loop of a Group owns a poller — an epoll instance on Linux
+// (poller_linux.go), nothing elsewhere (poller_other.go keeps the
+// package portable) — that the loop's own event goroutine parks in
+// (rt.Parker): readiness events
 // and lane posts share one parking mechanism, so an edge wakes the
 // goroutine that will run the protocol work directly. Sockets are
 // registered edge-triggered for both readability and writability; an
@@ -26,11 +25,10 @@ import (
 // The I/O itself happens on the loop's event goroutine: non-blocking
 // reads straight into pooled buffers (no hand-off copy, no reader
 // goroutine), non-blocking vectored writes draining the same queue the
-// other writer shapes use. A write that hits EAGAIN parks the connection
-// — zero syscalls, zero slices — until the kernel reports EPOLLOUT. The
-// per-connection goroutine count is zero; a loop costs 2 goroutines (the
-// event goroutine and the fallback netWriter for unpollable sockets) no
-// matter how many connections it serves.
+// blocking writer uses. A write that hits EAGAIN parks the connection —
+// zero syscalls — until the kernel reports EPOLLOUT. The per-connection
+// goroutine count is zero; a loop costs one goroutine (its event
+// goroutine) no matter how many connections it serves.
 //
 // Edge-triggered correctness invariants, load-bearing and easy to break:
 //
@@ -81,7 +79,7 @@ func (c *Conn) writeEdge() { c.woSig.Raise() }
 // pollInit attaches c to loop poller p: extracts the raw fd, builds the
 // three readiness signals, and registers the fd edge-triggered. It
 // reports false (leaving c untouched) when the socket cannot be polled —
-// the caller falls back to the shared reader/writer shape.
+// the caller falls back to the reader/writer goroutine pair.
 func (c *Conn) pollInit(p *poller) bool {
 	fd, ok := rawFD(c.nc)
 	if !ok {

@@ -35,7 +35,7 @@ import (
 // assigned token (not the fd) so a descriptor number recycled by the
 // kernel can never route a stale event to the wrong connection.
 
-// pollSupported selects poll as the default Group mode on this platform.
+// pollSupported reports whether Groups poll their sockets on this platform.
 const pollSupported = true
 
 // Event bits, spelled locally: the syscall package declares EPOLLET as a
@@ -89,8 +89,8 @@ type poller struct {
 }
 
 // newPoller builds a poller over a fresh epoll instance; ok is false if
-// the kernel refuses (the caller degrades to shared mode). The caller
-// installs it on its loop with rt.Loop.SetParker.
+// the kernel refuses (the group degrades to the goroutine fallback). The
+// caller installs it on its loop with rt.Loop.SetParker.
 func newPoller() (*poller, bool) {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {

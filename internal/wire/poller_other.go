@@ -5,14 +5,16 @@ package wire
 import (
 	"errors"
 	"net"
+	"time"
 )
 
 // Non-Linux platforms have no readiness poller yet (a kqueue counterpart
-// would slot in exactly here): Groups silently fall back to the shared
-// reader/writer shape and every poll hook below is inert, keeping the
-// package portable without build-tagging the core connection code.
+// would slot in exactly here): newPoller always fails, so Groups run
+// every connection on the goroutine fallback and every poll hook below
+// is inert, keeping the package portable without build-tagging the core
+// connection code.
 
-// pollSupported selects poll as the default Group mode on this platform.
+// pollSupported reports whether Groups poll their sockets on this platform.
 const pollSupported = false
 
 var errNoPoller = errors.New("wire: readiness poller not supported on this platform")
@@ -20,6 +22,12 @@ var errNoPoller = errors.New("wire: readiness poller not supported on this platf
 type poller struct{}
 
 func newPoller() (*poller, bool) { return nil, false }
+
+// Park and Wake satisfy rt.Parker so the portable group code compiles;
+// no poller is ever created here, so neither runs.
+func (p *poller) Park(d time.Duration) {}
+
+func (p *poller) Wake() {}
 
 func (p *poller) register(fd int, t pollTarget) (int32, bool) { return 0, false }
 

@@ -21,7 +21,7 @@ func pollPair(t *testing.T, cfg Config) (*Conn, *Conn) {
 	if !pollSupported {
 		t.Skip("no readiness poller on this platform")
 	}
-	gA, gB := NewGroupMode(2, ModePoll), NewGroupMode(2, ModePoll)
+	gA, gB := NewGroup(2), NewGroup(2)
 	t.Cleanup(func() { gA.Close(); gB.Close() })
 	cfgA, cfgB := cfg, cfg
 	cfgA.Group, cfgB.Group = gA, gB
@@ -54,21 +54,32 @@ func pollPair(t *testing.T, cfg Config) (*Conn, *Conn) {
 	return a, r.c
 }
 
+// TestPollModeIsDefaultWhereSupported: a TCP connection on a Group polls
+// wherever the platform has a poller, and takes the goroutine fallback on
+// its group loop elsewhere.
 func TestPollModeIsDefaultWhereSupported(t *testing.T) {
 	g := NewGroup(1)
 	defer g.Close()
-	want := ModeShared
-	if pollSupported {
-		want = ModePoll
+	ln, err := Listen("tcp", "127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
 	}
-	if g.Mode() != want {
-		t.Fatalf("NewGroup mode = %v, want %v", g.Mode(), want)
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			c.Close()
+		}
+	}()
+	c, err := Dial("tcp", ln.Addr().String(), Config{Group: g})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
 	}
-	// Explicit poll requests degrade instead of failing where unsupported.
-	g2 := NewGroupMode(1, ModePoll)
-	defer g2.Close()
-	if !pollSupported && g2.Mode() != ModeShared {
-		t.Fatalf("ModePoll on unsupported platform = %v, want fallback to shared", g2.Mode())
+	defer c.Close()
+	if polled := c.pl != nil; polled != pollSupported {
+		t.Fatalf("group TCP conn polled = %v, want %v", polled, pollSupported)
+	}
+	if c.ownLoop {
+		t.Fatal("group TCP conn runs on a dedicated loop")
 	}
 }
 
@@ -211,7 +222,7 @@ func TestPollManyConnsOneGroupOrdered(t *testing.T) {
 	if !pollSupported {
 		t.Skip("no readiness poller on this platform")
 	}
-	g := NewGroupMode(2, ModePoll)
+	g := NewGroup(2)
 	defer g.Close()
 	cfg := Config{NoDelay: true, Group: g}
 	ln, err := Listen("tcp", "127.0.0.1:0", cfg)
@@ -310,7 +321,7 @@ func TestPollStalledPeerParksWriter(t *testing.T) {
 	}
 	// One loop on each side so the stalled and healthy connections are
 	// guaranteed loop-mates.
-	gA, gB := NewGroupMode(1, ModePoll), NewGroupMode(1, ModePoll)
+	gA, gB := NewGroup(1), NewGroup(1)
 	defer gA.Close()
 	defer gB.Close()
 	cfg := Config{NoDelay: true, SendBufBytes: 64 * 1024}
@@ -418,16 +429,17 @@ func TestPollStalledPeerParksWriter(t *testing.T) {
 		}
 		lat = append(lat, time.Since(start))
 	}
-	// Median is robust against scheduler noise; the old fairness-slice
-	// design put a 20 ms floor under most rounds.
+	// Median is robust against scheduler noise. A writer that rotated
+	// through the stalled peer in 20 ms fairness slices would put that
+	// floor under most rounds.
 	sorted := append([]time.Duration(nil), lat...)
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	if med := sorted[len(sorted)/2]; med >= writerSlice {
-		t.Errorf("healthy loop-mate median round trip %v >= fairness slice %v: stalled peer is taxing the loop", med, writerSlice)
+	if med, slice := sorted[len(sorted)/2], 20*time.Millisecond; med >= slice {
+		t.Errorf("healthy loop-mate median round trip %v >= %v: stalled peer is taxing the loop", med, slice)
 	}
 
 	// (3) Unpark: drain the stalled peer and the parked queue must flush
@@ -468,7 +480,7 @@ func TestPollUnregisterOnCloseChurn(t *testing.T) {
 	if !pollSupported {
 		t.Skip("no readiness poller on this platform")
 	}
-	g := NewGroupMode(2, ModePoll)
+	g := NewGroup(2)
 	defer g.Close()
 	cfg := Config{NoDelay: true, Group: g}
 	ln, err := Listen("tcp", "127.0.0.1:0", cfg)

@@ -2,8 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -12,16 +16,34 @@ import (
 	"minion/internal/tcp"
 )
 
-// sharedPair returns two wire Conns joined by loopback TCP, both attached
+// The tests in this file run the goroutine fallback on shared group
+// loops: the reader/writer goroutine pair a socket takes when the loop's
+// poller cannot (every socket on a platform without a poller). Unix
+// sockets are never polled, so a Group on one exercises that path on
+// every platform.
+
+// unixAddr returns a fresh unix socket path (short: the kernel caps
+// socket paths near 100 bytes).
+func unixAddr(t *testing.T) string {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	return filepath.Join(dir, "s")
+}
+
+// sharedPair returns two wire Conns joined by a unix socket, both attached
 // to shared-loop groups (one per side, like a real client and server
-// process).
+// process) and both on the goroutine fallback.
 func sharedPair(t *testing.T, cfg Config) (*Conn, *Conn) {
 	t.Helper()
-	gA, gB := NewGroupMode(2, ModeShared), NewGroupMode(2, ModeShared)
+	gA, gB := NewGroup(2), NewGroup(2)
 	t.Cleanup(func() { gA.Close(); gB.Close() })
 	cfgA, cfgB := cfg, cfg
 	cfgA.Group, cfgB.Group = gA, gB
-	ln, err := Listen("tcp", "127.0.0.1:0", cfgB)
+	ln, err := Listen("unix", unixAddr(t), cfgB)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -35,7 +57,7 @@ func sharedPair(t *testing.T, cfg Config) (*Conn, *Conn) {
 		c, err := ln.Accept()
 		ch <- res{c, err}
 	}()
-	a, err := Dial("tcp", ln.Addr().String(), cfgA)
+	a, err := Dial("unix", ln.Addr().String(), cfgA)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -44,6 +66,9 @@ func sharedPair(t *testing.T, cfg Config) (*Conn, *Conn) {
 		t.Fatalf("Accept: %v", r.err)
 	}
 	t.Cleanup(func() { a.Close(); r.c.Close() })
+	if a.pl != nil || r.c.pl != nil || a.ownLoop || r.c.ownLoop {
+		t.Fatal("connections did not take the goroutine fallback on a group loop")
+	}
 	return a, r.c
 }
 
@@ -64,9 +89,9 @@ func TestSharedStreamRoundTrip(t *testing.T) {
 }
 
 func TestSharedBackpressureAndIntegrity(t *testing.T) {
-	// Many small writes through the shared writer's writev coalescing,
-	// against a small send budget: content must survive partial vectored
-	// writes and rotation intact and in order.
+	// Many small writes through the blocking writer's writev coalescing,
+	// against a small send budget: content must survive intact and in
+	// order.
 	a, b := sharedPair(t, Config{SendBufBytes: 8 * 1024})
 	const total = 128 * 1024
 	sent := 0
@@ -128,10 +153,10 @@ func TestSharedManyConnsOneGroupOrdered(t *testing.T) {
 	// 24 connections multiplexed on a 2-loop group, each streaming
 	// sequenced records; every connection's bytes must arrive in order
 	// (the per-lane FIFO guarantee).
-	g := NewGroupMode(2, ModeShared)
+	g := NewGroup(2)
 	defer g.Close()
 	cfg := Config{NoDelay: true, Group: g}
-	ln, err := Listen("tcp", "127.0.0.1:0", cfg)
+	ln, err := Listen("unix", unixAddr(t), cfg)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -174,7 +199,7 @@ func TestSharedManyConnsOneGroupOrdered(t *testing.T) {
 				}
 				ch <- track(c)
 			}()
-			a, err := Dial("tcp", ln.Addr().String(), cfg)
+			a, err := Dial("unix", ln.Addr().String(), cfg)
 			if err != nil {
 				t.Errorf("conn %d: Dial: %v", id, err)
 				<-ch
@@ -221,11 +246,13 @@ func TestSharedManyConnsOneGroupOrdered(t *testing.T) {
 	wg.Wait()
 }
 
+// TestGroupLoadsBalanced checks the single-socket listener's least-loaded
+// placement: accepted connections spread across the loops within ±1.
 func TestGroupLoadsBalanced(t *testing.T) {
-	g := NewGroupMode(4, ModeShared)
+	g := NewGroup(4)
 	defer g.Close()
 	cfg := Config{Group: g}
-	ln, err := Listen("tcp", "127.0.0.1:0", cfg)
+	ln, err := Listen("unix", unixAddr(t), cfg)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -250,7 +277,7 @@ func TestGroupLoadsBalanced(t *testing.T) {
 		}
 	}()
 	for i := 0; i < k; i++ {
-		c, err := Dial("tcp", ln.Addr().String(), Config{})
+		c, err := Dial("unix", ln.Addr().String(), Config{})
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
@@ -357,5 +384,58 @@ func TestOnWritableFiresAfterDrain(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestSharedGroupShutdownDrains: Group.Shutdown over the goroutine
+// fallback flushes every connection's queued bytes ahead of its FIN,
+// counts each connection as flushed, and returns every goroutine and
+// pooled buffer once the peers close.
+func TestSharedGroupShutdownDrains(t *testing.T) {
+	chaosCheck(t)
+	g := NewGroup(2)
+	ln, err := Listen("unix", unixAddr(t), Config{Group: g})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	const conns = 4
+	payload := bytes.Repeat([]byte("drain-"), 8*1024)
+	got := make(chan []byte, conns)
+	for i := 0; i < conns; i++ {
+		nc, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		go func() {
+			defer nc.Close()
+			b, _ := io.ReadAll(nc)
+			got <- b
+		}()
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatalf("Accept: %v", err)
+		}
+		c.Do(func() {
+			if _, err := c.Write(payload); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+		})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	st := g.Shutdown(ctx)
+	if st.Conns != conns || st.Flushed != conns || st.Aborted != 0 {
+		t.Fatalf("DrainStats = %+v, want %d conns all flushed", st, conns)
+	}
+	for i := 0; i < conns; i++ {
+		select {
+		case b := <-got:
+			if !bytes.Equal(b, payload) {
+				t.Fatalf("peer read %d bytes before EOF, want the %d queued", len(b), len(payload))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("peer never saw EOF after Shutdown")
+		}
 	}
 }

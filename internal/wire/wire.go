@@ -67,9 +67,9 @@ type Config struct {
 	// DialTimeout bounds the TCP connect in Dial (default: no bound). A
 	// timeout surfaces wrapped around ErrTimeout.
 	DialTimeout time.Duration
-	// Group, when non-nil, runs the connection in shared-loop mode on one
-	// of the group's event loops instead of a dedicated loop — see the
-	// package comment for the goroutine economics.
+	// Group, when non-nil, runs the connection on one of the group's
+	// shared event loops instead of a dedicated loop — see the package
+	// comment for the goroutine economics.
 	Group *Group
 	// Governor, when non-nil, meters this connection's queued send and
 	// receive bytes in the pool-wide resource governor (buf.Governor).
@@ -148,11 +148,10 @@ type Conn struct {
 	nc      net.Conn
 	cfg     Config
 	io      *ioCounters // this connection's I/O stat shard
-	ownLoop bool        // dedicated mode: loop (and writer goroutine) are ours
-	nw      *netWriter  // shared-loop writer; nil in dedicated and poll modes
-	release func()      // group detach; nil in dedicated mode
+	ownLoop bool        // dedicated loop: ours to close at teardown
+	release func()      // group detach; nil on a dedicated loop
 
-	// Poll mode (nil pl elsewhere): the loop's poller drives this
+	// Poll shape (nil pl elsewhere): the loop's poller drives this
 	// connection's I/O through three coalescing signals; no reader or
 	// writer goroutine exists. fd is valid until pollTeardown.
 	pl      *poller
@@ -163,7 +162,7 @@ type Conn struct {
 	woSig   *rt.Signal // EPOLLOUT edge -> pollWritable
 	pio     pollIO     // platform writev scratch
 
-	// Poll-mode loop-confined state.
+	// Poll-shape loop-confined state.
 	pollDead bool // no further syscalls on fd
 	wParked  bool // writev hit EAGAIN; only EPOLLOUT may retry
 	rStalled bool // read stopped on budget; Read's credit resumes
@@ -205,7 +204,7 @@ type Conn struct {
 
 	// Writer queue (any goroutine -> servicing writer).
 	wmu        sync.Mutex
-	wcond      *sync.Cond // dedicated-writer wakeup
+	wcond      *sync.Cond // writer-goroutine wakeup
 	wq         []*buf.Buffer
 	wqBytes    int // queued plus in-flight bytes not yet taken by the kernel
 	werr       error
@@ -218,7 +217,6 @@ type Conn struct {
 	// servicing the connection (see writer.go).
 	pend      net.Buffers
 	pendOwned []*buf.Buffer
-	inDirty   bool // guarded by nw.mu
 
 	wdone      sync.Once
 	writerDone chan struct{} // send side flushed (or dead)
@@ -229,12 +227,12 @@ type Conn struct {
 // Conn implements the framing layers' transport contract.
 var _ tcp.Stream = (*Conn)(nil)
 
-// NewConn wraps an established net.Conn. In dedicated mode (no
-// cfg.Group) it starts the connection's own event loop plus reader and
-// writer goroutines; in shared-loop mode it attaches to the least-loaded
-// group loop and starts only the reader; in poll mode it registers the
-// socket with the loop's poller and starts nothing at all. The caller
-// must Close the returned Conn to release them.
+// NewConn wraps an established net.Conn. With cfg.Group it attaches to
+// the least-loaded group loop and registers the socket with that loop's
+// poller, starting nothing at all. Without a Group, or for a socket the
+// poller cannot take, it runs the goroutine fallback: a reader and a
+// writer goroutine, on a dedicated loop of its own or on its group loop.
+// The caller must Close the returned Conn to release them.
 func NewConn(nc net.Conn, cfg Config) *Conn {
 	return newConn(nc, cfg, -1)
 }
@@ -255,13 +253,13 @@ func newConn(nc net.Conn, cfg Config, shard int) *Conn {
 	}
 	var pl *poller
 	if cfg.Group != nil {
-		if loop, nw, p, release, ok := cfg.Group.assign(shard); ok {
-			c.loop, c.nw, c.release = loop, nw, release
+		if loop, p, release, ok := cfg.Group.assign(shard); ok {
+			c.loop, c.release = loop, release
 			pl = p
 		}
 	}
 	if c.loop == nil {
-		// Dedicated mode — also the fallback when the group closed
+		// Dedicated loop — also the fallback when the group closed
 		// between Accept and attach.
 		c.loop = rt.NewLoop()
 		c.ownLoop = true
@@ -280,13 +278,8 @@ func newConn(nc net.Conn, cfg Config, shard int) *Conn {
 	}
 	// The lane and conds must exist before registration: the initial
 	// readiness edges can fire the moment the fd enters the epoll set.
-	if pl != nil && c.pollInit(pl) {
-		c.nw = nil // the poll path owns the write side
-		c.armWatchdog()
-		return c
-	}
-	go c.readLoop()
-	if c.ownLoop {
+	if pl == nil || !c.pollInit(pl) {
+		go c.readLoop()
 		go c.writeLoop()
 	}
 	c.armWatchdog()
@@ -309,7 +302,7 @@ func Dial(network, addr string, cfg Config) (*Conn, error) {
 }
 
 // Loop returns the connection's event loop (shared with other
-// connections in group mode).
+// connections on a Group).
 func (c *Conn) Loop() *rt.Loop { return c.loop }
 
 // Do runs fn on the connection's event loop and waits for it — the door
@@ -395,8 +388,8 @@ func (c *Conn) govCharge(d int) {
 }
 
 // creditRead returns consumed bytes to the receive flow-control budget:
-// the reader goroutine's in poll-less modes, the loop-confined poll
-// budget (resuming a budget-stalled drain) in poll mode.
+// the reader goroutine's in the goroutine fallback, the loop-confined
+// poll budget (resuming a budget-stalled drain) in the poll shape.
 func (c *Conn) creditRead(n int) {
 	if c.pl != nil {
 		c.pollCredit(n)
@@ -470,20 +463,16 @@ func (c *Conn) WriteMsgBuf(b *buf.Buffer, opt tcp.WriteOptions) (int, error) {
 		// write) still gets its drain notification.
 		c.wNotify = true
 	}
-	switch {
-	case c.pl != nil:
-		c.wmu.Unlock()
-		// Coalesced service request; a parked connection ignores it (the
-		// EPOLLOUT edge is the only legal retry), so a stalled peer costs
-		// nothing per queued write.
-		c.wSig.Raise()
-	case c.nw == nil:
+	if c.pl == nil {
 		c.wcond.Signal()
 		c.wmu.Unlock()
-	default:
-		c.wmu.Unlock()
-		c.nw.enqueue(c)
+		return n, nil
 	}
+	c.wmu.Unlock()
+	// Coalesced service request; a parked connection ignores it (the
+	// EPOLLOUT edge is the only legal retry), so a stalled peer costs
+	// nothing per queued write.
+	c.wSig.Raise()
 	return n, nil
 }
 
@@ -513,8 +502,8 @@ func (c *Conn) SendBufAvailable() int {
 // Close implements tcp.Stream: a graceful teardown. Queued writes drain
 // and the send side half-closes, the receive side keeps delivering until
 // the peer closes or a linger timeout passes, then the socket shuts down
-// (and, in dedicated mode, the event loop with it; a shared loop lives on
-// for its other connections). Close returns immediately; it is idempotent
+// (and a dedicated event loop with it; a group loop lives on for its
+// other connections). Close returns immediately; it is idempotent
 // and safe from any goroutine, including loop callbacks.
 func (c *Conn) Close() {
 	c.closeOnce.Do(func() {
@@ -523,19 +512,15 @@ func (c *Conn) Close() {
 		c.wclosed = true
 		c.wcond.Broadcast()
 		c.wmu.Unlock()
-		if c.nw != nil {
-			// Wake the shared writer so it notices the flush point even
-			// when no data is queued.
-			c.nw.enqueue(c)
-		}
 		if c.pl != nil {
-			// Same flush-point nudge for the poll path.
+			// Wake the poll path's writer so it notices the flush point
+			// even when no data is queued.
 			c.wSig.Raise()
 		}
 		go func() {
 			// Bound the drain too: a peer that stopped reading leaves
 			// queued data that will never flush, and Close must not wait
-			// on it forever. The reader/writer shapes bound it with a
+			// on it forever. The goroutine fallback bounds it with a
 			// write deadline that fails the blocked socket write; the
 			// poll shape has no blocked write to fail — a stalled
 			// connection is parked — so the queue is aborted explicitly
@@ -561,8 +546,8 @@ func (c *Conn) Close() {
 				case <-time.After(time.Second):
 				}
 			}
-			if tcpc, ok := c.nc.(*net.TCPConn); ok {
-				tcpc.CloseWrite()
+			if hc, ok := c.nc.(interface{ CloseWrite() error }); ok {
+				hc.CloseWrite()
 			}
 			select {
 			case <-c.readerDone:
@@ -574,11 +559,11 @@ func (c *Conn) Close() {
 }
 
 // teardown force-closes the socket, unblocks the reader, and returns any
-// undelivered receive buffers to the pool. Dedicated mode stops the event
-// loop; shared mode runs the final cleanup as the last entry on the
-// connection's lane and detaches from the group; poll mode unregisters
-// from the poller on the loop before the socket closes, so no syscall can
-// race the kernel recycling the fd.
+// undelivered receive buffers to the pool. A dedicated loop is stopped; on
+// a group loop the final cleanup runs as the last entry on the
+// connection's lane, then the connection detaches from the group. The
+// poll shape unregisters from the poller on the loop before the socket
+// closes, so no syscall can race the kernel recycling the fd.
 func (c *Conn) teardown() {
 	if c.pl != nil {
 		// Do, not Post: a racing group shutdown can close the loop after

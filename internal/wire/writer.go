@@ -1,61 +1,38 @@
 package wire
 
 import (
-	"net"
-	"sync"
+	"errors"
+	"os"
 	"time"
+
+	"minion/internal/tcp"
 )
 
-// The write side of a wire connection runs in one of two shapes:
-//
-//   - dedicated (per-connection loop mode): the connection owns a writer
-//     goroutine running writeLoop, free to block in the kernel on a slow
-//     peer — the PR-2 structure, now coalescing its queue into vectored
-//     writes.
-//   - shared (LoopGroup mode): connections on one event loop share one
-//     netWriter goroutine. Each service slice drains one connection's
-//     whole queue with a single vectored write under a short deadline, so
-//     a peer that stops reading costs at most one slice before the writer
-//     rotates on; a stalled connection re-enters the rotation after a
-//     backoff instead of immediately, so it cannot monopolize the slice
-//     budget.
-//
-// Both shapes call writeBatch, which owns the vectored-write state and
-// the buffer-release discipline: a pooled buffer's reference is held from
-// WriteMsgBuf until the kernel has consumed all of its bytes (or the
-// write side dies), so the zero-copy ownership conventions hold across
-// partial writes.
-
-const (
-	// writerSlice bounds one shared-writer service, keeping rotation fair
-	// when a connection's peer stops reading.
-	writerSlice = 20 * time.Millisecond
-	// writerBackoff delays re-service of a connection whose last slice
-	// wrote zero bytes (socket buffer full), letting healthy connections
-	// cycle in the meantime.
-	writerBackoff = 20 * time.Millisecond
-)
+// The goroutine fallback's write side: a writer goroutine per connection
+// (writeLoop) blocks for queued pooled buffers and drains them to the
+// socket in vectored batches (writeBatch), free to block in the kernel on
+// a slow peer. The poll shape drains the same queue non-blocking on the
+// event goroutine (pollWriteBatch in poller.go). Both hold a pooled
+// buffer's reference from WriteMsgBuf until the kernel has consumed all
+// of its bytes (or the write side dies), so the zero-copy ownership
+// conventions hold across partial writes.
 
 // writevMaxIOV mirrors the kernel's IOV_MAX chunking inside
 // net.Buffers.WriteTo: a batch of more entries costs one writev per chunk.
 const writevMaxIOV = 1024
 
 // writeBatch moves the queued buffers into the in-flight vector and
-// issues one vectored write (writev on Linux). deadline, when nonzero,
-// bounds the kernel write — the shared writer's fairness slice; the
-// dedicated writer passes zero and blocks. It returns whether the
-// connection needs no further service and how many bytes the kernel took.
-//
-// Exactly one goroutine services a connection at a time (its dedicated
-// writer, or the netWriter that popped it from the dirty list), so the
-// in-flight fields pend/pendOwned are accessed without wmu.
-func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
+// issues one blocking vectored write (writev on Linux). It reports
+// whether the write side is finished: flushed after Close, or dead. Only
+// the connection's writer goroutine calls it, so the in-flight fields
+// pend/pendOwned are accessed without wmu.
+func (c *Conn) writeBatch() (finished bool) {
 	c.wmu.Lock()
 	if c.werr != nil {
 		c.failWritesLocked()
 		c.wmu.Unlock()
 		c.writerFinish()
-		return true, 0
+		return true
 	}
 	for _, b := range c.wq {
 		c.pend = append(c.pend, b.Bytes())
@@ -69,7 +46,7 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 		if finished {
 			c.writerFinish()
 		}
-		return true, 0
+		return finished
 	}
 	c.wmu.Unlock()
 
@@ -81,11 +58,9 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 		if _, ferr, ok := faultWrite(size); ok && ferr != nil {
 			if faultAgain(ferr) {
 				// Injected backpressure: hold the in-flight vector and let
-				// the servicing writer retry after a beat (the dedicated
-				// loop spins right back; the shared writer's zero-progress
-				// backoff re-enqueues).
+				// the writer retry after a beat.
 				time.Sleep(faultRetryDelay)
-				return false, 0
+				return false
 			}
 			c.wmu.Lock()
 			if c.werr == nil {
@@ -95,13 +70,10 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 			c.wmu.Unlock()
 			c.writerFinish()
 			c.postError(ferr)
-			return true, 0
+			return true
 		}
-		// Partial-write caps are a poll-mode injection; the blocking
-		// shapes ignore them (net.Buffers.WriteTo offers no clean seam).
-	}
-	if !deadline.IsZero() {
-		c.nc.SetWriteDeadline(deadline)
+		// Partial-write caps are a poll-shape injection; the blocking
+		// writer ignores them (net.Buffers.WriteTo offers no clean seam).
 	}
 	pre := len(c.pend)
 	n, err := c.pend.WriteTo(c.nc)
@@ -115,19 +87,25 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 	rest := copy(c.pendOwned, c.pendOwned[consumed:])
 	clearBufs(c.pendOwned[rest:])
 	c.pendOwned = c.pendOwned[:rest]
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		// Only Close's linger and Abort set a write deadline, so its
+		// expiry ends the drain: a retry would fail at once, forever.
+		err = tcp.ErrClosed
+	}
 
 	c.wmu.Lock()
 	c.wqBytes -= int(n)
 	c.govCharge(-int(n))
-	died := err != nil && !isTimeout(err) && c.werr == nil
+	died := err != nil && c.werr == nil
 	if died {
 		c.werr = err
+	}
+	if c.werr != nil {
 		c.failWritesLocked()
 	}
 	c.noteWriteProgressLocked(c.wqBytes > 0 && c.werr == nil, n > 0)
 	c.notifyWritableLocked()
-	flushed := len(c.pend) == 0 && len(c.wq) == 0
-	finished := c.werr != nil || (c.wclosed && flushed)
+	finished = c.werr != nil || (c.wclosed && len(c.pend) == 0 && len(c.wq) == 0)
 	c.wmu.Unlock()
 	if died {
 		// A dead write side is terminal for the layers above — their
@@ -137,9 +115,8 @@ func (c *Conn) writeBatch(deadline time.Time) (idle bool, wrote int64) {
 	}
 	if finished {
 		c.writerFinish()
-		return true, n
 	}
-	return flushed, n
+	return finished
 }
 
 // failWritesLocked releases every buffer still queued or in flight after
@@ -177,110 +154,20 @@ func (c *Conn) writerFinish() {
 	c.wdone.Do(func() { close(c.writerDone) })
 }
 
-// writeLoop is the dedicated writer goroutine (per-connection loop mode):
-// it blocks for queued pooled buffers and drains them to the socket in
-// vectored batches.
+// writeLoop is the writer goroutine of the goroutine fallback: it blocks
+// for queued pooled buffers and drains them to the socket until the
+// write side is finished.
 func (c *Conn) writeLoop() {
-	defer c.writerFinish()
 	for {
 		c.wmu.Lock()
 		for len(c.wq) == 0 && len(c.pend) == 0 && !c.wclosed && c.werr == nil {
 			c.wcond.Wait()
 		}
-		stop := c.werr != nil || (c.wclosed && len(c.wq) == 0 && len(c.pend) == 0)
 		c.wmu.Unlock()
-		if stop {
-			c.writeBatch(time.Time{}) // release any post-error stragglers
+		if c.writeBatch() {
 			return
 		}
-		if idle, _ := c.writeBatch(time.Time{}); idle {
-			c.wmu.Lock()
-			dead := c.werr != nil || c.wclosed
-			c.wmu.Unlock()
-			if dead {
-				return
-			}
-		}
 	}
-}
-
-// netWriter is the shared writer goroutine for one event loop in
-// LoopGroup mode: connections with queued data enter its dirty list and
-// are serviced round-robin, one vectored write per turn.
-type netWriter struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	dirty  []*Conn
-	closed bool
-	done   chan struct{}
-}
-
-func newNetWriter() *netWriter {
-	w := &netWriter{done: make(chan struct{})}
-	w.cond = sync.NewCond(&w.mu)
-	go w.run()
-	return w
-}
-
-// enqueue adds c to the dirty rotation (no-op if already queued or the
-// writer shut down).
-func (w *netWriter) enqueue(c *Conn) {
-	w.mu.Lock()
-	if w.closed || c.inDirty {
-		w.mu.Unlock()
-		return
-	}
-	c.inDirty = true
-	w.dirty = append(w.dirty, c)
-	w.cond.Signal()
-	w.mu.Unlock()
-}
-
-// close drains the remaining dirty list and stops the goroutine.
-func (w *netWriter) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	<-w.done
-}
-
-func (w *netWriter) run() {
-	defer close(w.done)
-	for {
-		w.mu.Lock()
-		for len(w.dirty) == 0 && !w.closed {
-			w.cond.Wait()
-		}
-		if len(w.dirty) == 0 {
-			w.mu.Unlock()
-			return
-		}
-		c := w.dirty[0]
-		copy(w.dirty, w.dirty[1:])
-		w.dirty[len(w.dirty)-1] = nil
-		w.dirty = w.dirty[:len(w.dirty)-1]
-		c.inDirty = false
-		w.mu.Unlock()
-
-		idle, wrote := c.writeBatch(time.Now().Add(writerSlice))
-		if !idle {
-			if wrote > 0 {
-				w.enqueue(c)
-			} else {
-				// Zero progress: the peer's socket buffer is full. Rejoin
-				// the rotation after a beat instead of burning slices.
-				time.AfterFunc(writerBackoff, func() { w.enqueue(c) })
-			}
-		}
-	}
-}
-
-// isTimeout reports whether err is a write-deadline expiry (the shared
-// writer's rotation signal, not a connection failure).
-func isTimeout(err error) bool {
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout()
 }
 
 func clearBufs[T any](s []T) {

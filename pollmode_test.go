@@ -11,61 +11,26 @@ import (
 	"minion/internal/sim"
 )
 
-// These tests cover the readiness-driven (poll) runtime mode at the
+// These tests cover the readiness-driven (poll) runtime shape at the
 // public API level: 512 connections multiplexed over epoll-parked loops
 // with strict per-connection ordering, the constant-goroutine shape, and
 // the TrySend completion-reporting contract (Options.OnResult).
-
-// pollEchoServer is sharedEchoServer with an explicit loop mode.
-func pollEchoServer(t *testing.T, proto Protocol, loops int, mode LoopMode) (addr string, stop func()) {
-	t.Helper()
-	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Loops: loops, Mode: mode}.
-		Listen(proto, "tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var conns []Conn
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, c)
-			mu.Unlock()
-			c.OnMessage(func(msg []byte) { c.Send(msg, Options{}) })
-		}
-	}()
-	return ln.Addr().String(), func() {
-		ln.Close()
-		wg.Wait()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-}
 
 // TestLoopbackPollLoops512 is the poll-mode scale proof: 512 concurrent
 // connections multiplexed over a handful of epoll-parked loops on each
 // side — zero goroutines per connection — with every connection's echoes
 // arriving strictly in order, under -race. On platforms without a
-// poller the mode degrades to shared loops and the test still holds.
+// poller the group runs the goroutine fallback and only the goroutine
+// bound is skipped.
 func TestLoopbackPollLoops512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
 	const nConns = 512
 	const perConn = 4
-	addr, stop := pollEchoServer(t, ProtoUCOBSTCP, 4, LoopPoll)
+	addr, stop := sharedEchoServer(t, ProtoUCOBSTCP, "tcp", 4)
 	defer stop()
-	g := NewLoopGroupMode(4, LoopPoll)
+	g := NewLoopGroup(4)
 	defer g.Close()
 	dc := DialConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: g}
 
@@ -124,11 +89,11 @@ func TestLoopbackPollLoops512(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if g.Mode() == "poll" {
+	if runtime.GOOS == "linux" {
 		// The whole point: 512 connections (plus the server's 512) added
 		// no per-connection goroutines beyond the test's own driver
 		// goroutines (one per client conn here) and the fixed per-loop
-		// runtime. Shared mode would add 1024 readers on top.
+		// runtime. The goroutine fallback would add 2048 on top.
 		if p := int(peak.Load()); p > baseline+nConns+64 {
 			t.Errorf("goroutines at full load: %d (baseline %d + %d test drivers): per-connection goroutines crept back into poll mode",
 				p, baseline, nConns)

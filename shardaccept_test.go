@@ -29,7 +29,7 @@ func TestShardedAcceptDistribution(t *testing.T) {
 		nDials = 1024
 	}
 
-	sg := NewLoopGroupMode(loops, LoopPoll)
+	sg := NewLoopGroup(loops)
 	defer sg.Close()
 	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: sg}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +43,7 @@ func TestShardedAcceptDistribution(t *testing.T) {
 		nDials = 32
 	}
 
-	cg := NewLoopGroupMode(loops, LoopPoll)
+	cg := NewLoopGroup(loops)
 	defer cg.Close()
 	dc := DialConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: cg}
 
@@ -170,24 +170,25 @@ func TestShardedAcceptDistribution(t *testing.T) {
 }
 
 // TestSharedModeListenerNotSharded pins the contract that sharded
-// accept is a poll-mode-only upgrade: a LoopShared group keeps the
-// single-socket least-loaded accept path on every platform.
+// accept is an upgrade for polled TCP sockets only: a group listener on
+// a socket the loops cannot poll (here unix) keeps the single-socket
+// least-loaded accept path on every platform.
 func TestSharedModeListenerNotSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
-	g := NewLoopGroupMode(2, LoopShared)
+	g := NewLoopGroup(2)
 	defer g.Close()
-	ln, err := ListenConfig{Group: g}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
+	ln, err := ListenConfig{Group: g}.Listen(ProtoUCOBSTCP, "unix", unixAddr(t))
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer ln.Close()
 	if ln.Sharded() {
-		t.Fatal("LoopShared listener reports Sharded() = true, want single-socket accept")
+		t.Fatal("unix group listener reports Sharded() = true, want single-socket accept")
 	}
 	if got := ln.ShardAccepts(); got != nil {
-		t.Fatalf("ShardAccepts() = %v on a shared-mode listener, want nil", got)
+		t.Fatalf("ShardAccepts() = %v on a unix group listener, want nil", got)
 	}
 	// And it still accepts traffic.
 	done := make(chan Conn, 1)
@@ -200,7 +201,7 @@ func TestSharedModeListenerNotSharded(t *testing.T) {
 		}
 		done <- c
 	}()
-	c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{})
+	c, err := Dial(ProtoUCOBSTCP, "unix", ln.Addr().String(), TCPConfig{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

@@ -2,6 +2,8 @@ package minion
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,15 +12,34 @@ import (
 	"minion/internal/sim"
 )
 
-// These tests cover the shared-loop runtime mode: many connections
+// These tests cover the shared-loop runtime: many connections
 // multiplexed on a LoopGroup (loop per core), accepted connections
 // load-balanced across loops, per-connection delivery order preserved,
 // and the non-blocking TrySend that makes cross-connection relays safe.
+// The "unix" network runs a group's portable goroutine fallback on every
+// platform: the loops never poll unix sockets.
 
-// sharedEchoServer is echoServer over a listener-owned shared loop group.
-func sharedEchoServer(t *testing.T, proto Protocol, loops int) (addr string, stop func()) {
+// unixAddr returns a fresh unix socket path (short: the kernel caps
+// socket paths near 100 bytes).
+func unixAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Loops: loops}.Listen(proto, "tcp", "127.0.0.1:0")
+	dir, err := os.MkdirTemp("", "minion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	return filepath.Join(dir, "s")
+}
+
+// sharedEchoServer is echoServer over a listener-owned shared loop group
+// on network ("tcp" or "unix").
+func sharedEchoServer(t *testing.T, proto Protocol, network string, loops int) (addr string, stop func()) {
+	t.Helper()
+	laddr := "127.0.0.1:0"
+	if network == "unix" {
+		laddr = unixAddr(t)
+	}
+	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Loops: loops}.Listen(proto, network, laddr)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -55,18 +76,18 @@ func sharedEchoServer(t *testing.T, proto Protocol, loops int) (addr string, sto
 	}
 }
 
-// TestLoopbackSharedLoops512 is the shared-loop scale proof: 512
-// concurrent connections multiplexed over a handful of loops on each
-// side, every connection's echoes arriving strictly in order (TCP is
-// in-order both ways, so any reordering would be a lane-FIFO bug),
-// under -race.
+// TestLoopbackSharedLoops512 is the shared-loop scale proof for the
+// goroutine fallback: 512 concurrent unix-socket connections multiplexed
+// over a handful of loops on each side, every connection's echoes
+// arriving strictly in order (the stream is in-order both ways, so any
+// reordering would be a lane-FIFO bug), under -race.
 func TestLoopbackSharedLoops512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
 	const nConns = 512
 	const perConn = 4
-	addr, stop := sharedEchoServer(t, ProtoUCOBSTCP, 4)
+	addr, stop := sharedEchoServer(t, ProtoUCOBSTCP, "unix", 4)
 	defer stop()
 	g := NewLoopGroup(4)
 	defer g.Close()
@@ -78,7 +99,7 @@ func TestLoopbackSharedLoops512(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := dc.Dial(ProtoUCOBSTCP, "tcp", addr)
+			c, err := dc.Dial(ProtoUCOBSTCP, "unix", addr)
 			if err != nil {
 				errs <- fmt.Errorf("conn %d: dial: %w", id, err)
 				return
@@ -126,17 +147,17 @@ func TestLoopbackSharedLoops512(t *testing.T) {
 
 // TestListenConfigLoadBalance: accepted connections spread across the
 // group's loops within ±1. The ±1 guarantee belongs to the single-socket
-// least-loaded accept path, so the mode is pinned to LoopShared (a
-// poll-mode listener shards accept across per-loop SO_REUSEPORT sockets,
-// where the spread is the kernel's hash — covered statistically by
-// TestShardedAcceptDistribution).
+// least-loaded accept path, so the test listens on a unix socket (a TCP
+// group listener on Linux shards accept across per-loop SO_REUSEPORT
+// sockets, where the spread is the kernel's hash — covered statistically
+// by TestShardedAcceptDistribution).
 func TestListenConfigLoadBalance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
 	}
-	g := NewLoopGroupMode(4, LoopShared)
+	g := NewLoopGroup(4)
 	defer g.Close()
-	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: g}.Listen(ProtoUCOBSTCP, "tcp", "127.0.0.1:0")
+	ln, err := ListenConfig{TCPConfig: TCPConfig{NoDelay: true}, Group: g}.Listen(ProtoUCOBSTCP, "unix", unixAddr(t))
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -161,7 +182,7 @@ func TestListenConfigLoadBalance(t *testing.T) {
 		}
 	}()
 	for i := 0; i < k; i++ {
-		c, err := Dial(ProtoUCOBSTCP, "tcp", ln.Addr().String(), TCPConfig{})
+		c, err := Dial(ProtoUCOBSTCP, "unix", ln.Addr().String(), TCPConfig{})
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
