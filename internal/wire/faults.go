@@ -34,7 +34,7 @@ type FaultHooks struct {
 	Read func(size int) (int, error)
 	// Write is the same contract for vectored writes, consulted with the
 	// total queued bytes. A cap truncates the batch to a prefix (a partial
-	// write — poll mode only; the blocking shapes ignore caps), EAGAIN
+	// write — poll mode only; the blocking writer ignores caps), EAGAIN
 	// stalls the writer exactly like kernel backpressure, and any other
 	// error kills the write side.
 	Write func(size int) (int, error)

@@ -84,10 +84,10 @@ func (g *Group) pollRegistrations() int {
 }
 
 // assign attaches a connection: a loop, that loop's poller (nil when the
-// group has none), and a detach func. shard >= 0 pins the
-// connection to that loop (sharded accept: the kernel already picked the
-// loop by picking its listener socket); shard < 0 is least-loaded
-// placement. ok is false once the group is closed.
+// group has none), and a detach func. shard >= 0 pins the connection to
+// that loop (sharded accept: the kernel already picked the loop by
+// picking its listener socket); shard < 0 is least-loaded placement. ok
+// is false once the group is closed.
 func (g *Group) assign(shard int) (loop *rt.Loop, pl *poller, release func(), ok bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -143,8 +143,8 @@ func (g *Group) retain() (release func(), ok bool) {
 	}, true
 }
 
-// loopShard returns loop i and its poller (nil when the group has none) — the
-// sharded listener's wiring view. It takes no reference; pair with
+// loopShard returns loop i and its poller (nil when the group has none)
+// — the sharded listener's wiring view. It takes no reference; pair with
 // retain.
 func (g *Group) loopShard(i int) (*rt.Loop, *poller) {
 	loop := g.lg.Loop(i)
@@ -154,8 +154,8 @@ func (g *Group) loopShard(i int) (*rt.Loop, *poller) {
 	return loop, pl
 }
 
-// Close stops accepting attachments and shuts the loops and pollers down once the last attached connection detaches (immediately if
-// none are).
+// Close stops accepting attachments and shuts the loops and pollers down
+// once the last attached connection detaches (immediately if none are).
 func (g *Group) Close() {
 	g.mu.Lock()
 	if g.closed {

@@ -15,12 +15,12 @@ import (
 // both. Each loop of a Group owns a poller — an epoll instance on Linux
 // (poller_linux.go), nothing elsewhere (poller_other.go keeps the
 // package portable) — that the loop's own event goroutine parks in
-// (rt.Parker): readiness events
-// and lane posts share one parking mechanism, so an edge wakes the
-// goroutine that will run the protocol work directly. Sockets are
-// registered edge-triggered for both readability and writability; an
-// edge raises the connection's rt.Signal, which coalesces into one lane
-// post serviced on the next loop rotation.
+// (rt.Parker): readiness events and lane posts share one parking
+// mechanism, so an edge wakes the goroutine that will run the protocol
+// work directly. Sockets are registered edge-triggered for both
+// readability and writability; an edge raises the connection's
+// rt.Signal, which coalesces into one lane post serviced on the next
+// loop rotation.
 //
 // The I/O itself happens on the loop's event goroutine: non-blocking
 // reads straight into pooled buffers (no hand-off copy, no reader
